@@ -93,16 +93,24 @@ void BM_StreamTuneRecommendation(benchmark::State& state) {
   TimeOneIteration(state, &tuner, job);
 }
 
+// Every method times the same fixed number of iterations after the same
+// warm-up. The tuners keep their history across iterations, so letting
+// google-benchmark pick the count (1000+ for the fast methods) would time a
+// GP over thousands of points for ContTune instead of one iteration.
+constexpr int kTimedIterations = 3;
+
 BENCHMARK(BM_Ds2Recommendation)
     ->DenseRange(0, 2)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(kTimedIterations);
 BENCHMARK(BM_ContTuneRecommendation)
     ->DenseRange(0, 2)
-    ->Unit(benchmark::kMillisecond);
+    ->Unit(benchmark::kMillisecond)
+    ->Iterations(kTimedIterations);
 BENCHMARK(BM_StreamTuneRecommendation)
     ->DenseRange(0, 2)
     ->Unit(benchmark::kMillisecond)
-    ->Iterations(3);
+    ->Iterations(kTimedIterations);
 
 }  // namespace
 

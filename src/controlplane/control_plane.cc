@@ -138,23 +138,6 @@ Result<ControlPlaneReport> ControlPlane::Run() {
       wave[i] = jobs_.at(due[i]).get();
     }
 
-    // One batched GNN forward per cluster primes the full-mode embedding
-    // caches for this wave (bit-identical to each tuner's lazy path).
-    std::vector<std::vector<double>> rates(due.size());
-    std::vector<core::StreamTuneTuner::PendingJob> pending;
-    for (std::size_t i = 0; i < due.size(); ++i) {
-      JobTuningSession* job = wave[i];
-      if (job->mode() != JobMode::kFull ||
-          job->state() != JobState::kRunning ||
-          job->breaker().state() == BreakerState::kOpen) {
-        continue;
-      }
-      rates[i] = job->engine()->current_source_rates();
-      pending.push_back(core::StreamTuneTuner::PendingJob{
-          job->tuner(), &job->engine()->graph(), &rates[i]});
-    }
-    if (!pending.empty()) core::StreamTuneTuner::BatchedInference(pending);
-
     // Decision wave: every job touches only its own state, so the wave is
     // embarrassingly parallel; outcomes are folded serially below, in job
     // id order (PopDueBatch returns ids ascending).

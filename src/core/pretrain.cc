@@ -1,7 +1,6 @@
 #include "core/pretrain.h"
 
 #include <algorithm>
-#include <cassert>
 #include <map>
 #include <numeric>
 
@@ -90,72 +89,6 @@ ml::Matrix PretrainedBundle::AgnosticEmbeddings(
     }
     for (int j = 0; j < r_dim; ++j) {
       out.at(v, emb.cols() + j) = mean_rate[j];
-    }
-  }
-  return out;
-}
-
-std::vector<ml::Matrix> PretrainedBundle::BatchedAgnosticEmbeddings(
-    int c, const std::vector<EmbeddingQuery>& queries) const {
-  std::vector<ml::Matrix> out(queries.size());
-  if (queries.empty()) return out;
-
-  // Build each unique graph's context once per batch (deduplicated by
-  // graph name, like the pre-trainer does), then encode every query's
-  // feature rows straight into the packed workspace — no per-query feature
-  // matrices, no packing copy.
-  const int f_dim = FeatureEncoder::FeatureDim();
-  std::vector<ml::GraphContext> contexts;
-  contexts.reserve(queries.size());  // pointer stability for `ctxs`
-  std::map<std::string, int> context_index;
-  std::vector<const ml::GraphContext*> ctxs(queries.size());
-  std::vector<int> offsets;
-  offsets.reserve(queries.size() + 1);
-  int total = 0;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const EmbeddingQuery& q = queries[i];
-    assert(q.graph != nullptr && q.rates != nullptr);
-    auto [it, inserted] = context_index.try_emplace(
-        q.graph->name(), static_cast<int>(contexts.size()));
-    if (inserted) contexts.push_back(ml::GraphContext::Build(*q.graph));
-    ctxs[i] = &contexts[it->second];
-    offsets.push_back(total);
-    total += q.graph->num_operators();
-  }
-  offsets.push_back(total);
-
-  // thread_local like AgnosticEmbeddings' tape: concurrent callers each
-  // reuse their own warmed-up workspace.
-  thread_local ml::BatchedGnnWorkspace ws;
-  ws.x.SetShapeUninit(total, f_dim);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    feature_encoder_.EncodeGraphWithRatesInto(
-        *queries[i].graph, *queries[i].rates, ws.x.row_span(offsets[i]));
-  }
-  const ml::Matrix& emb =
-      clusters_[c].encoder.ForwardAgnosticBatchedPacked(ctxs, offsets, &ws);
-
-  const int r_dim = FeatureEncoder::kRateFeatures;
-  std::vector<double> mean_rate(r_dim);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const int n = queries[i].graph->num_operators();
-    const int off = offsets[i];
-    // Mean source-rate block from the packed rows: same values summed in
-    // the same row order as MeanRateRow on a per-query feature matrix.
-    for (int j = 0; j < r_dim; ++j) mean_rate[j] = 0.0;
-    for (int v = 0; v < n; ++v) {
-      const double* frow = ws.x.row_span(off + v);
-      for (int j = 0; j < r_dim; ++j) {
-        mean_rate[j] += frow[f_dim - r_dim + j];
-      }
-    }
-    for (int j = 0; j < r_dim; ++j) mean_rate[j] /= n;
-    ml::Matrix& m = out[i];
-    m.SetShapeUninit(n, emb.cols() + r_dim);
-    for (int v = 0; v < n; ++v) {
-      const double* erow = emb.row_span(off + v);
-      for (int j = 0; j < emb.cols(); ++j) m.at(v, j) = erow[j];
-      for (int j = 0; j < r_dim; ++j) m.at(v, emb.cols() + j) = mean_rate[j];
     }
   }
   return out;

@@ -92,22 +92,6 @@ class PretrainedBundle {
   ml::Matrix AgnosticEmbeddings(int c, const JobGraph& g,
                                 const std::vector<double>& rates) const;
 
-  /// One job's inputs to BatchedAgnosticEmbeddings (caller-owned, must
-  /// outlive the call).
-  struct EmbeddingQuery {
-    const JobGraph* graph = nullptr;
-    const std::vector<double>* rates = nullptr;
-  };
-
-  /// Batched AgnosticEmbeddings: one GNN-layer matmul for the whole batch
-  /// instead of one per job (see GnnEncoder::ForwardAgnosticBatched), with
-  /// graph contexts deduplicated by graph name within the batch. Element i
-  /// of the result is bit-identical to
-  /// AgnosticEmbeddings(c, *queries[i].graph, *queries[i].rates) under the
-  /// active kernel dispatch.
-  std::vector<ml::Matrix> BatchedAgnosticEmbeddings(
-      int c, const std::vector<EmbeddingQuery>& queries) const;
-
   /// Bottleneck probability from the *pre-training* head (used to sanity-
   /// check pre-training; the online phase swaps in the fine-tuned model).
   std::vector<double> PretrainHeadProbabilities(

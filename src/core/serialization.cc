@@ -1,6 +1,7 @@
 #include "core/serialization.h"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -144,6 +145,12 @@ Result<ml::Matrix> ReadMatrix(std::istream& is) {
   for (int r = 0; r < m.rows(); ++r) {
     for (int c = 0; c < m.cols(); ++c) {
       ST_ASSIGN_OR_RETURN(double v, DoubleToken(is));
+      // Only model weights are stored as matrices: a NaN or Inf one would
+      // load and then poison every embedding and prediction silently.
+      if (!std::isfinite(v)) {
+        return Status::InvalidArgument("non-finite weight '" +
+                                       std::to_string(v) + "'");
+      }
       m.at(r, c) = v;
     }
   }

@@ -60,80 +60,6 @@ const std::vector<ml::LabeledSample>& StreamTuneTuner::FeedbackFor(
   return it == accumulated_.end() ? kEmpty : it->second;
 }
 
-void StreamTuneTuner::BatchedInference(const std::vector<PendingJob>& jobs) {
-  // Group the stale-cache jobs by (bundle, cluster) — each group shares one
-  // frozen encoder, so its members can ride one batched forward. First-seen
-  // order; batches are scheduler-sized, so linear search beats a map here.
-  struct Group {
-    const PretrainedBundle* bundle = nullptr;
-    int cluster = -1;
-    std::vector<size_t> members;
-  };
-  std::vector<Group> groups;
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    const PendingJob& job = jobs[i];
-    assert(job.tuner != nullptr && job.graph != nullptr &&
-           job.rates != nullptr);
-    const PretrainedBundle* bundle = job.tuner->bundle_.get();
-    const int cluster = bundle->AssignCluster(*job.graph);
-    const EmbeddingCache& c = job.tuner->embedding_cache_;
-    if (c.valid && c.cluster == cluster && c.graph_name == job.graph->name() &&
-        c.num_operators == job.graph->num_operators() &&
-        c.rates == *job.rates) {
-      continue;  // already primed for exactly this query
-    }
-    Group* g = nullptr;
-    for (Group& cand : groups) {
-      if (cand.bundle == bundle && cand.cluster == cluster) {
-        g = &cand;
-        break;
-      }
-    }
-    if (g == nullptr) {
-      groups.push_back(Group{bundle, cluster, {}});
-      g = &groups.back();
-    }
-    g->members.push_back(i);
-  }
-
-  for (const Group& g : groups) {
-    std::vector<PretrainedBundle::EmbeddingQuery> queries;
-    queries.reserve(g.members.size());
-    for (size_t i : g.members) {
-      queries.push_back(
-          PretrainedBundle::EmbeddingQuery{jobs[i].graph, jobs[i].rates});
-    }
-    std::vector<ml::Matrix> embeddings =
-        g.bundle->BatchedAgnosticEmbeddings(g.cluster, queries);
-    for (size_t k = 0; k < g.members.size(); ++k) {
-      const PendingJob& job = jobs[g.members[k]];
-      EmbeddingCache& c = job.tuner->embedding_cache_;
-      c.embeddings = std::move(embeddings[k]);
-      c.cluster = g.cluster;
-      c.graph_name = job.graph->name();
-      c.num_operators = job.graph->num_operators();
-      c.rates = *job.rates;
-      c.valid = true;
-    }
-  }
-}
-
-const ml::Matrix& StreamTuneTuner::CachedAgnosticEmbeddings(
-    int cluster, const JobGraph& g, const std::vector<double>& rates) const {
-  EmbeddingCache& c = embedding_cache_;
-  if (c.valid && c.cluster == cluster && c.graph_name == g.name() &&
-      c.num_operators == g.num_operators() && c.rates == rates) {
-    return c.embeddings;
-  }
-  c.embeddings = bundle_->AgnosticEmbeddings(cluster, g, rates);
-  c.cluster = cluster;
-  c.graph_name = g.name();
-  c.num_operators = g.num_operators();
-  c.rates = rates;
-  c.valid = true;
-  return c.embeddings;
-}
-
 int StreamTuneTuner::MinSafeParallelism(const ml::BottleneckModel& model,
                                         const std::vector<double>& embedding,
                                         int p_max) const {
@@ -156,8 +82,8 @@ std::vector<int> StreamTuneTuner::Recommend(const sim::StreamEngine& engine,
                                             const ml::BottleneckModel& model,
                                             int cluster) const {
   const JobGraph& g = engine.graph();
-  const ml::Matrix& emb =
-      CachedAgnosticEmbeddings(cluster, g, engine.current_source_rates());
+  const ml::Matrix emb =
+      bundle_->AgnosticEmbeddings(cluster, g, engine.current_source_rates());
   std::vector<int> rec(g.num_operators(), 1);
   auto order = g.TopologicalOrder();
   assert(order.ok() && "deployed job graphs are acyclic");
@@ -361,7 +287,7 @@ Result<bool> StreamTuneTuner::Session::Step() {
           std::max(bracket_lo_[v], std::min(bracket_hi_[v], rec[v]));
     }
   }
-  const ml::Matrix& emb = tuner_->CachedAgnosticEmbeddings(
+  const ml::Matrix emb = tuner_->bundle_->AgnosticEmbeddings(
       cluster_, engine->graph(), engine->current_source_rates());
   const int p_max = engine->max_parallelism();
   for (int v = 0; v < engine->graph().num_operators(); ++v) {

@@ -112,29 +112,8 @@ class StreamTuneTuner : public baselines::Tuner {
 
   /// Starts a resumable tuning process on `engine` (already deployed). The
   /// tuner must outlive the session; a tuner's sessions must not overlap
-  /// (they share the embedding cache and feedback accumulator).
+  /// (they share the feedback accumulator).
   Result<std::unique_ptr<Session>> NewSession(sim::StreamEngine* engine);
-
-  /// One pending tuning decision for BatchedInference: the tuner about to
-  /// run, the job graph it will tune, and the source rates its first
-  /// recommendation will see. All pointers are caller-owned and must
-  /// outlive the call.
-  struct PendingJob {
-    StreamTuneTuner* tuner = nullptr;
-    const JobGraph* graph = nullptr;
-    const std::vector<double>* rates = nullptr;
-  };
-
-  /// Cross-job batched inference: primes each pending tuner's embedding
-  /// cache with one batched encoder pass per (bundle, cluster) group
-  /// instead of one full GNN forward per job (see
-  /// PretrainedBundle::BatchedAgnosticEmbeddings). Jobs whose cache is
-  /// already valid for (cluster, graph, rates) are skipped; when a tuner
-  /// appears twice the last entry wins. The primed embeddings are
-  /// bit-identical to what the tuner's own lazy path would compute, so this
-  /// is purely a throughput optimization for schedulers that dispatch many
-  /// tuning sessions at once.
-  static void BatchedInference(const std::vector<PendingJob>& jobs);
 
   /// One recommendation pass (Algorithm 2 lines 6-9) with a fitted model:
   /// per operator, the minimum degree predicted bottleneck-free. Exposed
@@ -168,29 +147,8 @@ class StreamTuneTuner : public baselines::Tuner {
                          const std::vector<double>& embedding,
                          int p_max) const;
 
-  /// Returns the cached agnostic embeddings when (cluster, graph, rates)
-  /// are unchanged since the previous call; re-encodes otherwise. Within a
-  /// tuning session the graph never changes and the rates rarely do, yet
-  /// every Recommend and every feedback fold used to re-run the frozen
-  /// encoder from scratch.
-  const ml::Matrix& CachedAgnosticEmbeddings(
-      int cluster, const JobGraph& g,
-      const std::vector<double>& rates) const;
-
   std::shared_ptr<const PretrainedBundle> bundle_;
   StreamTuneOptions options_;
-
-  struct EmbeddingCache {
-    bool valid = false;
-    int cluster = -1;
-    std::string graph_name;
-    int num_operators = 0;
-    std::vector<double> rates;
-    ml::Matrix embeddings;
-  };
-  /// mutable: a pure memo — Recommend() is logically const. The tuner is
-  /// single-threaded (like its accumulated_ state).
-  mutable EmbeddingCache embedding_cache_;
 
   /// Per-job feedback collected across tuning processes (keyed by job
   /// name); bounded so long schedules cannot grow the fit unboundedly.

@@ -68,40 +68,6 @@ std::vector<std::vector<double>> FeatureEncoder::EncodeGraphWithRates(
   return out;
 }
 
-void FeatureEncoder::EncodeGraphWithRatesInto(
-    const JobGraph& graph, const std::vector<double>& rates,
-    double* dst) const {
-  // Mirrors Encode() value-for-value; any change there must land here too
-  // (the batched-vs-sequential bit-identity tests catch a divergence).
-  double* p = dst;
-  auto one_hot = [&p](int value, int cardinality) {
-    for (int i = 0; i < cardinality; ++i) *p++ = (i == value) ? 1.0 : 0.0;
-  };
-  for (int i = 0; i < graph.num_operators(); ++i) {
-    const OperatorSpec& spec = graph.op(i);
-    one_hot(static_cast<int>(spec.type), kNumOperatorTypes);
-    one_hot(static_cast<int>(spec.window_type), kNumWindowTypes);
-    one_hot(static_cast<int>(spec.window_policy), kNumWindowPolicies);
-    one_hot(static_cast<int>(spec.join_key_class), kNumKeyClasses);
-    one_hot(static_cast<int>(spec.aggregate_class), kNumKeyClasses);
-    one_hot(static_cast<int>(spec.aggregate_key_class), kNumKeyClasses);
-    one_hot(static_cast<int>(spec.aggregate_function), kNumAggregateFunctions);
-    one_hot(static_cast<int>(spec.tuple_data_type), kNumKeyClasses);
-
-    *p++ = MinMaxScale(spec.window_length, 0.0, bounds_.max_window_length);
-    *p++ = MinMaxScale(spec.sliding_length, 0.0, bounds_.max_sliding_length);
-    *p++ = MinMaxScale(spec.tuple_width_in, 0.0, bounds_.max_tuple_width);
-    *p++ = MinMaxScale(spec.tuple_width_out, 0.0, bounds_.max_tuple_width);
-    const double rate = rates[i];
-    *p++ = MinMaxScale(std::log1p(rate), 0.0,
-                       std::log1p(bounds_.max_source_rate));
-    const double log10_rate = std::log10(1.0 + rate);
-    for (int k = 3; k <= 7; ++k) {
-      *p++ = Sigmoid(2.0 * (log10_rate - k));
-    }
-  }
-}
-
 double FeatureEncoder::ScaleParallelism(int parallelism) const {
   return MinMaxScale(static_cast<double>(parallelism), 0.0,
                      static_cast<double>(kMaxParallelism));

@@ -53,14 +53,6 @@ class FeatureEncoder {
   std::vector<std::vector<double>> EncodeGraphWithRates(
       const JobGraph& graph, const std::vector<double>& rates) const;
 
-  /// EncodeGraphWithRates written straight into caller storage: `dst` is
-  /// num_operators() contiguous rows of FeatureDim() doubles. Same values,
-  /// no per-operator temporaries — the packing path of batched inference,
-  /// where rows land directly in the tall workspace matrix.
-  void EncodeGraphWithRatesInto(const JobGraph& graph,
-                                const std::vector<double>& rates,
-                                double* dst) const;
-
   /// Scales a raw parallelism degree to the model's [0, 1] input range.
   double ScaleParallelism(int parallelism) const;
 

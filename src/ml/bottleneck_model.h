@@ -22,6 +22,13 @@ struct LabeledSample {
   int label = 0;                  ///< 1 = bottleneck, 0 = not
 };
 
+/// Rejects a training set no M_f family can fit: empty, an embedding whose
+/// width is not `embedding_dim` or that holds a NaN/Inf entry, a
+/// parallelism below 1, or a label outside {0, 1}. Every Fit calls it
+/// first, so no model ever sorts or trains on non-finite values.
+Status CheckTrainingSet(const std::vector<LabeledSample>& data,
+                        int embedding_dim);
+
 /// Classification model estimating P(operator is a bottleneck | h, p).
 class BottleneckModel {
  public:

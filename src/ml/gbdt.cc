@@ -138,12 +138,7 @@ int MonotonicGbdt::BuildNode(Tree* tree,
 }
 
 Status MonotonicGbdt::Fit(const std::vector<LabeledSample>& data) {
-  if (data.empty()) return Status::InvalidArgument("empty training set");
-  for (const LabeledSample& s : data) {
-    if (static_cast<int>(s.embedding.size()) != embedding_dim_) {
-      return Status::InvalidArgument("embedding dimension mismatch");
-    }
-  }
+  ST_RETURN_NOT_OK(CheckTrainingSet(data, embedding_dim_));
   const size_t n = data.size();
   std::vector<std::vector<double>> x(n);
   std::vector<double> y(n);

@@ -1,7 +1,6 @@
 #include "ml/gnn.h"
 
 #include <cassert>
-#include <cmath>
 
 namespace streamtune::ml {
 
@@ -93,108 +92,6 @@ Tape::Ref GnnEncoder::Forward(Tape* tape, const GraphContext& ctx,
                               const Matrix& features,
                               const Matrix& parallelism_scaled) const {
   return Fuse(tape, ForwardAgnostic(tape, ctx, features), parallelism_scaled);
-}
-
-namespace {
-
-// Forward-only row-wise RMS normalization, in place. Per row the arithmetic
-// is exactly Tape::RmsNormRows' forward pass: ms = sum(x^2) / cols + eps,
-// then y = x * (1 / sqrt(ms)) — so batched and tape forwards agree
-// bit-for-bit.
-void RmsNormRowsInPlace(Matrix* h, double eps) {
-  const int rows = h->rows(), cols = h->cols();
-  for (int r = 0; r < rows; ++r) {
-    double* row = h->row_span(r);
-    double ms = 0;
-    for (int c = 0; c < cols; ++c) ms += row[c] * row[c];
-    ms = ms / cols + eps;
-    const double inv_rms = 1.0 / std::sqrt(ms);
-    for (int c = 0; c < cols; ++c) row[c] *= inv_rms;
-  }
-}
-
-// Default eps of Tape::RmsNormRows, which the tape forwards above rely on.
-constexpr double kRmsNormEps = 1e-6;
-
-}  // namespace
-
-const Matrix& GnnEncoder::ForwardAgnosticBatched(
-    const std::vector<BatchedJobInput>& jobs, BatchedGnnWorkspace* ws,
-    std::vector<int>* offsets) const {
-  assert(ws != nullptr && offsets != nullptr);
-  // Per-job row offsets into the packed matrices: job j owns rows
-  // [offsets[j], offsets[j+1]).
-  offsets->clear();
-  offsets->reserve(jobs.size() + 1);
-  int total = 0;
-  for (const BatchedJobInput& job : jobs) {
-    assert(job.ctx != nullptr && job.features != nullptr);
-    assert(job.features->cols() == config_.feature_dim);
-    assert(job.features->rows() == job.ctx->a_up.rows());
-    offsets->push_back(total);
-    total += job.features->rows();
-  }
-  offsets->push_back(total);
-
-  // Pack all feature rows into one tall matrix.
-  ws->x.SetShapeUninit(total, config_.feature_dim);
-  std::vector<const GraphContext*> ctxs(jobs.size());
-  for (size_t j = 0; j < jobs.size(); ++j) {
-    const Matrix& f = *jobs[j].features;
-    const int off = (*offsets)[j];
-    for (int r = 0; r < f.rows(); ++r) {
-      const double* src = f.row_span(r);
-      double* dst = ws->x.row_span(off + r);
-      for (int c = 0; c < f.cols(); ++c) dst[c] = src[c];
-    }
-    ctxs[j] = jobs[j].ctx;
-  }
-  return ForwardAgnosticBatchedPacked(ctxs, *offsets, ws);
-}
-
-const Matrix& GnnEncoder::ForwardAgnosticBatchedPacked(
-    const std::vector<const GraphContext*>& ctxs,
-    const std::vector<int>& offsets, BatchedGnnWorkspace* ws) const {
-  assert(ws != nullptr);
-  assert(offsets.size() == ctxs.size() + 1);
-  assert(ws->x.rows() == offsets.back());
-  assert(ws->x.cols() == config_.feature_dim);
-  const int total = ws->x.rows();
-  const std::vector<const GraphContext*>& jobs = ctxs;
-
-  // Input projection + activation + norm: one tall matmul for the batch.
-  // Row r only ever combines with weight matrices and its own row-local
-  // statistics, so each row's arithmetic is identical to the per-job tape
-  // forward (same kernels, same chains) regardless of batch size. The fused
-  // kernels (MatMulAccumInto, BiasReluInto) are per-dispatch bit-identical
-  // to the two-step compositions the tape runs — see their contracts in
-  // ml/matrix.h — they just skip the staging traffic, which at batch sizes
-  // of hundreds of jobs is the dominant non-flop cost.
-  MatMulInto(ws->x, input_proj_.weight()->value, &ws->u);
-  BiasReluInto(ws->u, input_proj_.bias()->value, &ws->h);
-  RmsNormRowsInPlace(&ws->h, kRmsNormEps);
-
-  for (const MessageLayer& layer : layers_) {
-    // Block-diagonal aggregation: each job's small n_j x n_j adjacency hits
-    // only its own row segment of the packed hidden state. These are the
-    // only per-job matmuls left; every weight multiply below is one tall
-    // matmul for the whole batch.
-    ws->u.SetShapeUninit(total, config_.hidden_dim);
-    for (size_t j = 0; j < jobs.size(); ++j) {
-      MatMulSegmentInto(jobs[j]->a_up, ws->h, offsets[j], &ws->u,
-                        offsets[j]);
-    }
-    MatMulInto(ws->u, layer.w_up->value, &ws->msg);  // msg = msg_up
-    for (size_t j = 0; j < jobs.size(); ++j) {
-      MatMulSegmentInto(jobs[j]->a_dn, ws->h, offsets[j], &ws->u,
-                        offsets[j]);
-    }
-    MatMulAccumInto(ws->u, layer.w_dn->value, &ws->msg);   // += msg_dn
-    MatMulAccumInto(ws->h, layer.w_self->value, &ws->msg); // += self
-    BiasReluInto(ws->msg, layer.bias->value, &ws->h);
-    RmsNormRowsInPlace(&ws->h, kRmsNormEps);
-  }
-  return ws->h;
 }
 
 std::vector<Var> GnnEncoder::Params() const {

@@ -53,24 +53,6 @@ struct GraphContext {
   static GraphContext Build(const JobGraph& graph);
 };
 
-/// One job's inputs to a batched forward pass: its (cached) graph context
-/// and its encoded feature rows. Both are caller-owned and must outlive the
-/// call.
-struct BatchedJobInput {
-  const GraphContext* ctx = nullptr;
-  const Matrix* features = nullptr;  ///< num_operators x feature_dim
-};
-
-/// Reusable tall buffers for ForwardAgnosticBatched. Reuse one workspace
-/// across calls and the steady state allocates nothing (capacities grow to
-/// the largest batch seen, then stay).
-struct BatchedGnnWorkspace {
-  Matrix x;    ///< packed features, sum(n_j) x feature_dim
-  Matrix h;    ///< packed hidden state (the returned embeddings live here)
-  Matrix u;    ///< block-diagonal aggregation staging
-  Matrix msg;  ///< message accumulator
-};
-
 /// The dataflow-DAG encoder: per-operator embeddings of width hidden_dim.
 class GnnEncoder {
  public:
@@ -94,31 +76,6 @@ class GnnEncoder {
   Tape::Ref Forward(Tape* tape, const GraphContext& ctx,
                     const Matrix& features,
                     const Matrix& parallelism_scaled) const;
-
-  /// Forward-only batched agnostic embeddings: packs every job's feature
-  /// rows into one tall matrix and runs ONE matmul per weight per layer for
-  /// the whole batch; only the cheap n_j x n_j adjacency aggregations stay
-  /// per-job (block-diagonal, via MatMulSegmentInto). Returns the packed
-  /// embeddings (rows [offsets[j], offsets[j+1]) belong to job j; the
-  /// matrix lives in `ws` and is valid until the next call on that
-  /// workspace).
-  ///
-  /// Determinism contract: every kernel involved processes output rows
-  /// independently, so under any single dispatch the returned rows are
-  /// bit-identical to a sequential ForwardAgnostic tape forward per job.
-  const Matrix& ForwardAgnosticBatched(const std::vector<BatchedJobInput>& jobs,
-                                       BatchedGnnWorkspace* ws,
-                                       std::vector<int>* offsets) const;
-
-  /// Pre-packed variant: the caller has already written every job's feature
-  /// rows into ws->x (job j owns rows [offsets[j], offsets[j+1]), and
-  /// offsets.back() == ws->x.rows()); ctxs[j] is job j's graph context.
-  /// Skips the packing copy entirely — the zero-intermediate path used by
-  /// PretrainedBundle::BatchedAgnosticEmbeddings, which encodes features
-  /// straight into the workspace. Same determinism contract as above.
-  const Matrix& ForwardAgnosticBatchedPacked(
-      const std::vector<const GraphContext*>& ctxs,
-      const std::vector<int>& offsets, BatchedGnnWorkspace* ws) const;
 
   std::vector<Var> Params() const;
   const GnnConfig& config() const { return config_; }

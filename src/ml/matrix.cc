@@ -166,9 +166,9 @@ constexpr int kColBlock = 16;
 // steady-state training epochs never touch the allocator through it.
 thread_local std::vector<int> tls_nonzero_k;
 
-// Shared accumulation core of MatMulInto / MatMulSegmentInto:
-// out(r, c) += sum_k a(r, k) * b(k, c), all operands row-major with
-// a: m x kk, b: kk x n, out: m x n (pre-shaped, every element written).
+// Core of MatMulInto: out(r, c) = sum_k a(r, k) * b(k, c), all operands
+// row-major with a: m x kk, b: kk x n, out: m x n (pre-shaped, every element
+// written).
 //
 // Each output element accumulates over ascending k with an a(r, k) == 0.0
 // skip, starting from +0.0 — exactly the reference Matrix::MatMul order, so
@@ -224,59 +224,6 @@ void MatMulCoreScalar(const double* __restrict ad, const double* __restrict bd,
         const double* brow = bd + static_cast<size_t>(k) * n;
         for (int c = c0; c < n; ++c) orow[c] += av * brow[c];
       }
-    }
-  }
-}
-
-// Accumulate form of MatMulCoreScalar: out(r, c) += sum_k a(r, k) * b(k, c).
-// The per-element product chain is byte-for-byte the overwrite kernel's
-// (same compacted nonzero-k list, same ascending-k order, same +0.0 start);
-// only the final store adds the chain to the existing out value — exactly
-// MatMulCoreScalar into a temporary followed by one AddCoreScalar, fused.
-void MatMulAccumCoreScalar(const double* __restrict ad,
-                           const double* __restrict bd, double* __restrict od,
-                           int m, int kk, int n) {
-  std::vector<int>& nz = tls_nonzero_k;
-  if (static_cast<int>(nz.size()) < kk) nz.resize(kk);
-  int* __restrict nzp = nz.data();
-  for (int r = 0; r < m; ++r) {
-    const double* arow = ad + static_cast<size_t>(r) * kk;
-    int cnt = 0;
-    for (int k = 0; k < kk; ++k) {
-      nzp[cnt] = k;
-      cnt += arow[k] != 0.0;
-    }
-    const bool dense = cnt == kk;  // fully dense row: skip the indirection
-    double* orow = od + static_cast<size_t>(r) * n;
-    int c0 = 0;
-    for (; c0 + kColBlock <= n; c0 += kColBlock) {
-      double acc[kColBlock] = {};
-      if (dense) {
-        for (int k = 0; k < kk; ++k) {
-          const double av = arow[k];
-          const double* brow = bd + static_cast<size_t>(k) * n + c0;
-          for (int j = 0; j < kColBlock; ++j) acc[j] += av * brow[j];
-        }
-      } else {
-        for (int t = 0; t < cnt; ++t) {
-          const int k = nzp[t];
-          const double av = arow[k];
-          const double* brow = bd + static_cast<size_t>(k) * n + c0;
-          for (int j = 0; j < kColBlock; ++j) acc[j] += av * brow[j];
-        }
-      }
-      for (int j = 0; j < kColBlock; ++j) orow[c0 + j] += acc[j];
-    }
-    // Tail columns still build each chain from +0.0 in a local accumulator
-    // before the single add — accumulating terms straight onto the existing
-    // value would reassociate (old + t1) + t2 vs old + (t1 + t2).
-    for (int c = c0; c < n; ++c) {
-      double acc = 0.0;
-      for (int t = 0; t < cnt; ++t) {
-        const int k = nzp[t];
-        acc += arow[k] * bd[static_cast<size_t>(k) * n + c];
-      }
-      orow[c] += acc;
     }
   }
 }
@@ -412,18 +359,6 @@ void ReluCoreScalar(const double* __restrict av, double* __restrict ov,
   for (size_t i = 0; i < n; ++i) ov[i] = std::max(0.0, av[i]);
 }
 
-// relu(a + row broadcast) in one pass: per element max(0, a + rv) — the
-// value AddRowBroadcastInto followed by ReluCoreScalar produces.
-void BiasReluCoreScalar(const double* __restrict av,
-                        const double* __restrict rv, double* __restrict ov,
-                        int rows, int cols) {
-  for (int r = 0; r < rows; ++r) {
-    const double* arow = av + static_cast<size_t>(r) * cols;
-    double* orow = ov + static_cast<size_t>(r) * cols;
-    for (int c = 0; c < cols; ++c) orow[c] = std::max(0.0, arow[c] + rv[c]);
-  }
-}
-
 // ---- Runtime dispatch ------------------------------------------------------
 //
 // The hottest kernels route through this table of raw-pointer cores.
@@ -438,24 +373,20 @@ void BiasReluCoreScalar(const double* __restrict av,
 // upgraded by a dynamic initializer in this TU).
 struct KernelTable {
   void (*matmul)(const double*, const double*, double*, int, int, int);
-  void (*matmul_accum)(const double*, const double*, double*, int, int, int);
   void (*matmul_nt)(const double*, const double*, double*, int, int, int);
   void (*matmul_tn)(const double*, const double*, double*, int, int, int);
   void (*add)(const double*, double*, size_t);
   void (*axpy)(double, const double*, double*, size_t);
   void (*relu)(const double*, double*, size_t);
-  void (*bias_relu)(const double*, const double*, double*, int, int);
 };
 
-constexpr KernelTable kScalarTable{
-    MatMulCoreScalar, MatMulAccumCoreScalar, MatMulNTCoreScalar,
-    MatMulTNCoreScalar, AddCoreScalar, AxpyCoreScalar, ReluCoreScalar,
-    BiasReluCoreScalar};
+constexpr KernelTable kScalarTable{MatMulCoreScalar, MatMulNTCoreScalar,
+                                  MatMulTNCoreScalar, AddCoreScalar,
+                                  AxpyCoreScalar, ReluCoreScalar};
 
-constexpr KernelTable kAvx2Table{
-    simd::MatMulCoreAvx2, simd::MatMulAccumCoreAvx2, simd::MatMulNTCoreAvx2,
-    simd::MatMulTNCoreAvx2, simd::AddCoreAvx2, simd::AxpyCoreAvx2,
-    simd::ReluCoreAvx2, simd::BiasReluCoreAvx2};
+constexpr KernelTable kAvx2Table{simd::MatMulCoreAvx2, simd::MatMulNTCoreAvx2,
+                                 simd::MatMulTNCoreAvx2, simd::AddCoreAvx2,
+                                 simd::AxpyCoreAvx2, simd::ReluCoreAvx2};
 
 constinit const char* g_dispatch_name = "scalar";
 constinit KernelTable g_kernels = kScalarTable;
@@ -488,24 +419,6 @@ void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
   out->SetShapeUninit(a.rows(), b.cols());
   g_kernels.matmul(a.data().data(), b.data().data(), out->data().data(),
                    a.rows(), a.cols(), b.cols());
-}
-
-void MatMulSegmentInto(const Matrix& a, const Matrix& b, int b_row0,
-                       Matrix* out, int out_row0) {
-  assert(out != &a && out != &b);
-  assert(out->cols() == b.cols());
-  assert(b_row0 >= 0 && b_row0 + a.cols() <= b.rows());
-  assert(out_row0 >= 0 && out_row0 + a.rows() <= out->rows());
-  g_kernels.matmul(a.data().data(), b.row_span(b_row0), out->row_span(out_row0),
-                   a.rows(), a.cols(), b.cols());
-}
-
-void MatMulAccumInto(const Matrix& a, const Matrix& b, Matrix* acc) {
-  assert(a.cols() == b.rows());
-  assert(acc->rows() == a.rows() && acc->cols() == b.cols());
-  assert(acc != &a && acc != &b);
-  g_kernels.matmul_accum(a.data().data(), b.data().data(), acc->data().data(),
-                         a.rows(), a.cols(), b.cols());
 }
 
 void MatMulNTInto(const Matrix& a, const Matrix& b, Matrix* out) {
@@ -583,14 +496,6 @@ void ReluInto(const Matrix& a, Matrix* out) {
   assert(out != &a);
   out->SetShapeUninit(a.rows(), a.cols());
   g_kernels.relu(a.data().data(), out->data().data(), a.size());
-}
-
-void BiasReluInto(const Matrix& a, const Matrix& row, Matrix* out) {
-  assert(row.rows() == 1 && row.cols() == a.cols());
-  assert(out != &a && out != &row);
-  out->SetShapeUninit(a.rows(), a.cols());
-  g_kernels.bias_relu(a.data().data(), row.data().data(), out->data().data(),
-                      a.rows(), a.cols());
 }
 
 void AddRowBroadcastInto(const Matrix& a, const Matrix& row, Matrix* out) {

@@ -15,9 +15,8 @@
 //    with the composed Matrix methods they replace: same term order, same
 //    zero-skip, same roundings.
 //
-// Dispatch: the hottest kernels (the three matmuls and their accumulate /
-// fused-activation forms, AddInto, AxpyInto, ReluInto) route through a table
-// selected once at startup. When the binary
+// Dispatch: the hottest kernels (the three matmuls, AddInto, AxpyInto,
+// ReluInto) route through a table selected once at startup. When the binary
 // carries AVX2+FMA code (see ml/matrix_simd.h), the host CPU supports both,
 // and STREAMTUNE_FORCE_SCALAR is not set, the table points at the vectorized
 // cores; otherwise at the scalar ones. The SIMD cores are tolerance-equal
@@ -25,7 +24,7 @@
 // bit-reproducible against the composed Matrix methods pins the scalar path
 // via STREAMTUNE_FORCE_SCALAR. Either way a single process uses a single
 // table, so all within-process determinism guarantees (thread-count
-// independence, batched-vs-sequential equality) hold under both dispatches.
+// independence) hold under both dispatches.
 // Matrix storage is 32-byte aligned so vector loads on row starts of
 // multiple-of-4-column matrices stay aligned.
 //
@@ -217,20 +216,6 @@ void ReinitKernelDispatchForTest();
 
 /// out = a * b. Bit-identical to a.MatMul(b).
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out);
-/// Block-diagonal building block for batched inference: writes
-///   out rows [out_row0, out_row0 + a.rows())
-///     = a * (b rows [b_row0, b_row0 + a.cols())).
-/// `out` must be pre-shaped with cols() == b.cols() and enough rows; the
-/// written rows are bit-identical (per dispatch) to MatMulInto on the row
-/// slices, rows outside the window are untouched.
-void MatMulSegmentInto(const Matrix& a, const Matrix& b, int b_row0,
-                       Matrix* out, int out_row0);
-/// acc += a * b; `acc` must already be shaped a.rows() x b.cols(). Per
-/// dispatch bit-identical to MatMulInto into a temporary followed by
-/// AddInto(temp, acc): the per-element product chain is the matmul kernel's,
-/// and only the final store adds it to the existing value. Fuses away one
-/// full staging write + read in the batched GNN forward.
-void MatMulAccumInto(const Matrix& a, const Matrix& b, Matrix* acc);
 /// out = a * b^T without materializing the transpose. Bit-identical to
 /// a.MatMul(b.Transpose()): per output element the same products are summed
 /// in the same k-order, skipping the same a(r,k) == 0 terms.
@@ -253,10 +238,6 @@ void HadamardInto(const Matrix& a, const Matrix& b, Matrix* out);
 void ScaleInto(const Matrix& a, double s, Matrix* out);
 /// out = max(a, 0) elementwise.
 void ReluInto(const Matrix& a, Matrix* out);
-/// out = relu(a + row broadcast), `row` 1 x a.cols(). Per dispatch
-/// bit-identical to AddRowBroadcastInto followed by ReluInto — one pass
-/// instead of a staging write + read.
-void BiasReluInto(const Matrix& a, const Matrix& row, Matrix* out);
 /// out = a with the 1 x cols `row` added to every row. Bit-identical to
 /// a.AddRowBroadcast(row).
 void AddRowBroadcastInto(const Matrix& a, const Matrix& row, Matrix* out);

@@ -30,11 +30,7 @@ inline double HorizontalSum(__m256d v) {
 // aligned, but interior rows (cols % 4 != 0) and the c0 offsets are not,
 // and on AVX2 hardware vmovupd on an aligned address costs the same as
 // vmovapd.
-// kAccum selects the accumulate form (out += a * b): the per-element product
-// chain is identical to the overwrite form; only the final store reads the
-// existing output value and adds — exactly MatMulInto followed by one
-// AddInto, fused.
-template <int kWidth, bool kAccum>
+template <int kWidth>
 inline void FmaRowTile(const double* a, size_t a_stride, const double* b,
                        int kk, int n, double* orow, int c0) {
   static_assert(kWidth % 4 == 0);
@@ -50,21 +46,10 @@ inline void FmaRowTile(const double* a, size_t a_stride, const double* b,
       acc[j] = _mm256_fmadd_pd(va, _mm256_loadu_pd(brow + 4 * j), acc[j]);
     }
   }
-  for (int j = 0; j < kAccums; ++j) {
-    double* o = orow + c0 + 4 * j;
-    if constexpr (kAccum) {
-      _mm256_storeu_pd(o, _mm256_add_pd(_mm256_loadu_pd(o), acc[j]));
-    } else {
-      _mm256_storeu_pd(o, acc[j]);
-    }
-  }
+  for (int j = 0; j < kAccums; ++j) _mm256_storeu_pd(orow + c0 + 4 * j, acc[j]);
 }
 
-// Scalar cleanup for the < 4 rightmost output columns of a row. Each chain
-// builds from +0.0 in a local accumulator; the accumulate form then does one
-// add into the existing value (adding terms straight onto it would
-// reassociate the chain).
-template <bool kAccum>
+// Scalar cleanup for the < 4 rightmost output columns of a row.
 inline void ScalarTail(const double* a, size_t a_stride, const double* b,
                        int kk, int n, double* orow, int c0) {
   for (int c = c0; c < n; ++c) {
@@ -74,27 +59,22 @@ inline void ScalarTail(const double* a, size_t a_stride, const double* b,
       if (av == 0.0) continue;
       acc += av * b[static_cast<size_t>(k) * n + c];
     }
-    if constexpr (kAccum) {
-      orow[c] += acc;
-    } else {
-      orow[c] = acc;
-    }
+    orow[c] = acc;
   }
 }
 
 // Row-major accumulation shared by MatMul (a_stride = 1 over a's row r) and
 // MatMulTN (a_stride = m over a's column r).
-template <bool kAccum>
 inline void AccumulateAvx2(const double* acol, size_t a_stride,
                            const double* b, double* orow, int kk, int n) {
   int c0 = 0;
   for (; c0 + 16 <= n; c0 += 16) {
-    FmaRowTile<16, kAccum>(acol, a_stride, b, kk, n, orow, c0);
+    FmaRowTile<16>(acol, a_stride, b, kk, n, orow, c0);
   }
   for (; c0 + 4 <= n; c0 += 4) {
-    FmaRowTile<4, kAccum>(acol, a_stride, b, kk, n, orow, c0);
+    FmaRowTile<4>(acol, a_stride, b, kk, n, orow, c0);
   }
-  if (c0 < n) ScalarTail<kAccum>(acol, a_stride, b, kk, n, orow, c0);
+  if (c0 < n) ScalarTail(acol, a_stride, b, kk, n, orow, c0);
 }
 
 // 4-row x kWidth register-blocked tile: four output rows share every b-row
@@ -103,10 +83,8 @@ inline void AccumulateAvx2(const double* acol, size_t a_stride,
 // Per output element the accumulation is still one k-ascending chain into
 // a per-4-column accumulator, exactly like the single-row tile, so blocked
 // and unblocked rows produce bit-identical results on finite inputs (the
-// single-row tile's zero-multiplier skip is a bitwise no-op there; packed
-// batches may split a job's rows across block boundaries, so row phase
-// must not affect arithmetic).
-template <int kWidth, bool kAccum>
+// single-row tile's zero-multiplier skip is a bitwise no-op there).
+template <int kWidth>
 inline void FmaBlockTile4(const double* a0, const double* a1,
                           const double* a2, const double* a3,
                           size_t a_stride, const double* b, int kk, int n,
@@ -138,27 +116,15 @@ inline void FmaBlockTile4(const double* a0, const double* a1,
     }
   }
   for (int j = 0; j < kAccums; ++j) {
-    double* p0 = o0 + c0 + 4 * j;
-    double* p1 = o1 + c0 + 4 * j;
-    double* p2 = o2 + c0 + 4 * j;
-    double* p3 = o3 + c0 + 4 * j;
-    if constexpr (kAccum) {
-      _mm256_storeu_pd(p0, _mm256_add_pd(_mm256_loadu_pd(p0), acc0[j]));
-      _mm256_storeu_pd(p1, _mm256_add_pd(_mm256_loadu_pd(p1), acc1[j]));
-      _mm256_storeu_pd(p2, _mm256_add_pd(_mm256_loadu_pd(p2), acc2[j]));
-      _mm256_storeu_pd(p3, _mm256_add_pd(_mm256_loadu_pd(p3), acc3[j]));
-    } else {
-      _mm256_storeu_pd(p0, acc0[j]);
-      _mm256_storeu_pd(p1, acc1[j]);
-      _mm256_storeu_pd(p2, acc2[j]);
-      _mm256_storeu_pd(p3, acc3[j]);
-    }
+    _mm256_storeu_pd(o0 + c0 + 4 * j, acc0[j]);
+    _mm256_storeu_pd(o1 + c0 + 4 * j, acc1[j]);
+    _mm256_storeu_pd(o2 + c0 + 4 * j, acc2[j]);
+    _mm256_storeu_pd(o3 + c0 + 4 * j, acc3[j]);
   }
 }
 
 // Four output rows at once; a0..a3 are the four multiplier sequences
 // (consecutive a rows for MatMul, consecutive a columns for MatMulTN).
-template <bool kAccum>
 inline void AccumulateBlock4Avx2(const double* a0, const double* a1,
                                  const double* a2, const double* a3,
                                  size_t a_stride, const double* b, double* o0,
@@ -166,35 +132,16 @@ inline void AccumulateBlock4Avx2(const double* a0, const double* a1,
                                  int n) {
   int c0 = 0;
   for (; c0 + 8 <= n; c0 += 8) {
-    FmaBlockTile4<8, kAccum>(a0, a1, a2, a3, a_stride, b, kk, n, o0, o1, o2,
-                             o3, c0);
+    FmaBlockTile4<8>(a0, a1, a2, a3, a_stride, b, kk, n, o0, o1, o2, o3, c0);
   }
   for (; c0 + 4 <= n; c0 += 4) {
-    FmaBlockTile4<4, kAccum>(a0, a1, a2, a3, a_stride, b, kk, n, o0, o1, o2,
-                             o3, c0);
+    FmaBlockTile4<4>(a0, a1, a2, a3, a_stride, b, kk, n, o0, o1, o2, o3, c0);
   }
   if (c0 < n) {
-    ScalarTail<kAccum>(a0, a_stride, b, kk, n, o0, c0);
-    ScalarTail<kAccum>(a1, a_stride, b, kk, n, o1, c0);
-    ScalarTail<kAccum>(a2, a_stride, b, kk, n, o2, c0);
-    ScalarTail<kAccum>(a3, a_stride, b, kk, n, o3, c0);
-  }
-}
-
-template <bool kAccum>
-void MatMulCoreAvx2Impl(const double* a, const double* b, double* out, int m,
-                        int kk, int n) {
-  int r = 0;
-  for (; r + 4 <= m; r += 4) {
-    const double* ar = a + static_cast<size_t>(r) * kk;
-    double* orow = out + static_cast<size_t>(r) * n;
-    AccumulateBlock4Avx2<kAccum>(ar, ar + kk, ar + 2 * kk, ar + 3 * kk, 1, b,
-                                 orow, orow + n, orow + 2 * n, orow + 3 * n,
-                                 kk, n);
-  }
-  for (; r < m; ++r) {
-    AccumulateAvx2<kAccum>(a + static_cast<size_t>(r) * kk, 1, b,
-                           out + static_cast<size_t>(r) * n, kk, n);
+    ScalarTail(a0, a_stride, b, kk, n, o0, c0);
+    ScalarTail(a1, a_stride, b, kk, n, o1, c0);
+    ScalarTail(a2, a_stride, b, kk, n, o2, c0);
+    ScalarTail(a3, a_stride, b, kk, n, o3, c0);
   }
 }
 
@@ -202,12 +149,17 @@ void MatMulCoreAvx2Impl(const double* a, const double* b, double* out, int m,
 
 void MatMulCoreAvx2(const double* a, const double* b, double* out, int m,
                     int kk, int n) {
-  MatMulCoreAvx2Impl<false>(a, b, out, m, kk, n);
-}
-
-void MatMulAccumCoreAvx2(const double* a, const double* b, double* out, int m,
-                         int kk, int n) {
-  MatMulCoreAvx2Impl<true>(a, b, out, m, kk, n);
+  int r = 0;
+  for (; r + 4 <= m; r += 4) {
+    const double* ar = a + static_cast<size_t>(r) * kk;
+    double* orow = out + static_cast<size_t>(r) * n;
+    AccumulateBlock4Avx2(ar, ar + kk, ar + 2 * kk, ar + 3 * kk, 1, b, orow,
+                         orow + n, orow + 2 * n, orow + 3 * n, kk, n);
+  }
+  for (; r < m; ++r) {
+    AccumulateAvx2(a + static_cast<size_t>(r) * kk, 1, b,
+                   out + static_cast<size_t>(r) * n, kk, n);
+  }
 }
 
 void MatMulTNCoreAvx2(const double* a, const double* b, double* out, int m,
@@ -216,35 +168,13 @@ void MatMulTNCoreAvx2(const double* a, const double* b, double* out, int m,
   int r = 0;
   for (; r + 4 <= m; r += 4) {
     double* orow = out + static_cast<size_t>(r) * n;
-    AccumulateBlock4Avx2<false>(a + r, a + r + 1, a + r + 2, a + r + 3,
-                                static_cast<size_t>(m), b, orow, orow + n,
-                                orow + 2 * n, orow + 3 * n, kk, n);
+    AccumulateBlock4Avx2(a + r, a + r + 1, a + r + 2, a + r + 3,
+                         static_cast<size_t>(m), b, orow, orow + n,
+                         orow + 2 * n, orow + 3 * n, kk, n);
   }
   for (; r < m; ++r) {
-    AccumulateAvx2<false>(a + r, static_cast<size_t>(m), b,
-                          out + static_cast<size_t>(r) * n, kk, n);
-  }
-}
-
-void BiasReluCoreAvx2(const double* a, const double* row, double* out,
-                      int rows, int cols) {
-  // One pass of relu(a + row-broadcast): the vector adds and maxes are the
-  // same lane operations AddRowBroadcastInto + ReluCoreAvx2 perform (maxpd
-  // operand order matches ReluCoreAvx2), so the fusion is bit-neutral.
-  const __m256d zero = _mm256_setzero_pd();
-  for (int r = 0; r < rows; ++r) {
-    const double* arow = a + static_cast<size_t>(r) * cols;
-    double* orow = out + static_cast<size_t>(r) * cols;
-    int c = 0;
-    for (; c + 4 <= cols; c += 4) {
-      const __m256d s = _mm256_add_pd(_mm256_loadu_pd(arow + c),
-                                      _mm256_loadu_pd(row + c));
-      _mm256_storeu_pd(orow + c, _mm256_max_pd(zero, s));
-    }
-    for (; c < cols; ++c) {
-      const double s = arow[c] + row[c];
-      orow[c] = s > 0.0 ? s : 0.0;
-    }
+    AccumulateAvx2(a + r, static_cast<size_t>(m), b,
+                   out + static_cast<size_t>(r) * n, kk, n);
   }
 }
 
@@ -327,24 +257,10 @@ void MatMulCoreAvx2([[maybe_unused]] const double* a,
   std::abort();
 }
 
-void MatMulAccumCoreAvx2([[maybe_unused]] const double* a,
-                         [[maybe_unused]] const double* b,
-                         [[maybe_unused]] double* out, [[maybe_unused]] int m,
-                         [[maybe_unused]] int kk, [[maybe_unused]] int n) {
-  std::abort();
-}
-
 void MatMulNTCoreAvx2([[maybe_unused]] const double* a,
                       [[maybe_unused]] const double* b,
                       [[maybe_unused]] double* out, [[maybe_unused]] int m,
                       [[maybe_unused]] int kk, [[maybe_unused]] int n) {
-  std::abort();
-}
-
-void BiasReluCoreAvx2([[maybe_unused]] const double* a,
-                      [[maybe_unused]] const double* row,
-                      [[maybe_unused]] double* out, [[maybe_unused]] int rows,
-                      [[maybe_unused]] int cols) {
   std::abort();
 }
 

@@ -28,11 +28,6 @@ bool CompiledIn();
 /// out(m x n, pre-shaped) = a(m x kk) * b(kk x n); out row-major stride n.
 void MatMulCoreAvx2(const double* a, const double* b, double* out, int m,
                     int kk, int n);
-/// out(m x n, pre-shaped) += a(m x kk) * b(kk x n): identical per-element
-/// product chains to MatMulCoreAvx2, then one add into the existing value —
-/// MatMulCoreAvx2 followed by AddCoreAvx2, fused.
-void MatMulAccumCoreAvx2(const double* a, const double* b, double* out, int m,
-                         int kk, int n);
 /// out(m x n, pre-shaped) = a(m x kk) * b(n x kk)^T.
 void MatMulNTCoreAvx2(const double* a, const double* b, double* out, int m,
                       int kk, int n);
@@ -45,9 +40,5 @@ void AddCoreAvx2(const double* src, double* acc, size_t n);
 void AxpyCoreAvx2(double alpha, const double* x, double* acc, size_t n);
 /// out[i] = max(a[i], 0.0) over n doubles.
 void ReluCoreAvx2(const double* a, double* out, size_t n);
-/// out(rows x cols, pre-shaped) = relu(a + row broadcast over rows), `row`
-/// 1 x cols — AddRowBroadcastInto followed by ReluCoreAvx2, fused.
-void BiasReluCoreAvx2(const double* a, const double* row, double* out,
-                      int rows, int cols);
 
 }  // namespace streamtune::ml::simd

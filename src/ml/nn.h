@@ -27,9 +27,6 @@ class LinearLayer {
   Tape::Ref Forward(Tape* tape, Tape::Ref x) const;
   std::vector<Var> Params() const { return {W_, b_}; }
 
-  const Var& weight() const { return W_; }
-  const Var& bias() const { return b_; }
-
  private:
   Var W_, b_;
 };

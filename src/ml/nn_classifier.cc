@@ -15,15 +15,12 @@ NnClassifier::NnClassifier(int embedding_dim, NnClassifierConfig config)
 }
 
 Status NnClassifier::Fit(const std::vector<LabeledSample>& data) {
-  if (data.empty()) return Status::InvalidArgument("empty training set");
+  ST_RETURN_NOT_OK(CheckTrainingSet(data, embedding_dim_));
   const int n = static_cast<int>(data.size());
   Matrix x(n, embedding_dim_ + 1);
   Matrix y(n, 1);
   Matrix mask(n, 1, 1.0);
   for (int i = 0; i < n; ++i) {
-    if (static_cast<int>(data[i].embedding.size()) != embedding_dim_) {
-      return Status::InvalidArgument("embedding dimension mismatch");
-    }
     for (int j = 0; j < embedding_dim_; ++j) {
       x.at(i, j) = data[i].embedding[j];
     }

@@ -37,12 +37,7 @@ std::vector<double> MonotonicSvm::FeatureMap(
 }
 
 Status MonotonicSvm::Fit(const std::vector<LabeledSample>& data) {
-  if (data.empty()) return Status::InvalidArgument("empty training set");
-  for (const LabeledSample& s : data) {
-    if (static_cast<int>(s.embedding.size()) != embedding_dim_) {
-      return Status::InvalidArgument("embedding dimension mismatch");
-    }
-  }
+  ST_RETURN_NOT_OK(CheckTrainingSet(data, embedding_dim_));
 
   const size_t n = data.size();
   std::vector<std::vector<double>> z(n);

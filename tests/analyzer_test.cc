@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include "analysis/analyzer.h"
-#include "analysis/sarif.h"
 
 namespace streamtune::analysis {
 namespace {
@@ -178,38 +177,6 @@ TEST(AnalyzerSeededViolation, FreshViolationIsDetected) {
   EXPECT_EQ(report.findings[0].Key(),
             "src/seeded.cc:3:st-determinism-random");
   fs::remove_all(root);
-}
-
-TEST(AnalyzerSarif, JsonCarriesRulesAndLocations) {
-  AnalysisReport report = MustRun(FixtureOptions());
-  std::string json = SarifJson(report.findings);
-  EXPECT_NE(json.find("\"version\": \"2.1.0\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"st_analyze\""), std::string::npos);
-  // Every finding's rule and file appear; spot-check one location.
-  for (const Finding& f : report.findings) {
-    EXPECT_NE(json.find("\"ruleId\": \"" + f.rule + "\""), std::string::npos)
-        << f.rule;
-    EXPECT_NE(json.find(f.file), std::string::npos) << f.file;
-  }
-  EXPECT_NE(json.find("\"startLine\": 7"), std::string::npos);
-  // Balanced braces — a cheap structural sanity check on the writer.
-  long depth = 0;
-  bool in_string = false;
-  for (size_t i = 0; i < json.size(); ++i) {
-    char c = json[i];
-    if (in_string) {
-      if (c == '\\') ++i;
-      else if (c == '"') in_string = false;
-    } else if (c == '"') {
-      in_string = true;
-    } else if (c == '{') {
-      ++depth;
-    } else if (c == '}') {
-      --depth;
-      EXPECT_GE(depth, 0);
-    }
-  }
-  EXPECT_EQ(depth, 0);
 }
 
 TEST(AnalyzerRealTree, RepositoryIsCleanWithoutBaseline) {

@@ -173,43 +173,6 @@ TEST(GnnTest, DeterministicForSeed) {
       AgnosticValue(a, g, f).Sub(AgnosticValue(c, g, f)).SquaredNorm(), 0.0);
 }
 
-TEST(GnnTest, BatchedForwardMatchesSequential) {
-  // The batched packed forward must reproduce the per-job tape forward
-  // bit-for-bit (rows are independent in every kernel involved).
-  std::vector<JobGraph> graphs;
-  for (workloads::NexmarkQuery q : workloads::AllNexmarkQueries()) {
-    graphs.push_back(workloads::BuildNexmarkJob(q, workloads::Engine::kFlink));
-  }
-  GnnEncoder enc(SmallConfig());
-  std::vector<Matrix> features;
-  std::vector<GraphContext> contexts;
-  features.reserve(graphs.size());
-  contexts.reserve(graphs.size());
-  for (const JobGraph& g : graphs) {
-    features.push_back(Features(g));
-    contexts.push_back(GraphContext::Build(g));
-  }
-  std::vector<BatchedJobInput> jobs;
-  for (size_t i = 0; i < graphs.size(); ++i) {
-    jobs.push_back(BatchedJobInput{&contexts[i], &features[i]});
-  }
-  BatchedGnnWorkspace ws;
-  std::vector<int> offsets;
-  const Matrix& packed = enc.ForwardAgnosticBatched(jobs, &ws, &offsets);
-  ASSERT_EQ(offsets.size(), graphs.size() + 1);
-  ASSERT_EQ(packed.rows(), offsets.back());
-  for (size_t i = 0; i < graphs.size(); ++i) {
-    Matrix seq = AgnosticValue(enc, graphs[i], features[i]);
-    ASSERT_EQ(offsets[i + 1] - offsets[i], seq.rows());
-    for (int r = 0; r < seq.rows(); ++r) {
-      for (int c = 0; c < seq.cols(); ++c) {
-        EXPECT_EQ(packed.at(offsets[i] + r, c), seq.at(r, c))
-            << graphs[i].name() << " op " << r << " dim " << c;
-      }
-    }
-  }
-}
-
 TEST(GnnTest, StructureMatters) {
   // The same operator specs arranged differently must embed differently.
   JobGraph chain("chain");

@@ -1,35 +1,24 @@
-// The SIMD kernel layer and the cross-job batched inference path.
+// The SIMD kernel layer.
 //
 // Contract under test (see matrix.h):
 //   - the scalar dispatch is the bit-level reference: with
 //     STREAMTUNE_FORCE_SCALAR the dispatched kernels are bit-identical to
 //     the allocating Matrix methods;
 //   - the AVX2 dispatch is tolerance-equal (<= 1e-12 relative) to scalar
-//     for the FMA matmuls and bit-identical for the lane-wise ops;
-//   - batched GNN inference is bit-identical to the sequential per-job
-//     path under ANY single dispatch, including when raced from many
-//     threads (the TSan shard runs this suite).
+//     for the FMA matmuls and bit-identical for the lane-wise ops.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
-#include "core/history.h"
-#include "core/pretrain.h"
-#include "core/streamtune_tuner.h"
 #include "ml/cpu_features.h"
 #include "ml/matrix.h"
 #include "ml/matrix_simd.h"
-#include "sim/engine.h"
-#include "workloads/cost_config.h"
-#include "workloads/nexmark.h"
-#include "workloads/pqp.h"
 
 namespace streamtune::ml {
 namespace {
@@ -195,184 +184,11 @@ TEST(MatrixSimdTest, DefaultDispatchMatchesScalarWithinTolerance) {
   ExpectWithinRelTol(acc, axpy_ref, 1e-12);
 }
 
-TEST(MatrixSimdTest, MatMulSegmentIntoMatchesSlicedMatMul) {
-  Rng rng(41);
-  Matrix a = RandomMatrix(3, 4, &rng);
-  Matrix b = RandomMatrix(10, 5, &rng);
-  const int b_row0 = 2, out_row0 = 1;
-  // Reference: the same product on a contiguous copy of b's row slice.
-  Matrix b_slice(a.cols(), b.cols());
-  for (int r = 0; r < a.cols(); ++r) {
-    for (int c = 0; c < b.cols(); ++c) {
-      b_slice.at(r, c) = b.at(b_row0 + r, c);
-    }
-  }
-  Matrix ref;
-  MatMulInto(a, b_slice, &ref);
-
-  Matrix out(8, 5, -7.0);  // sentinel fill
-  MatMulSegmentInto(a, b, b_row0, &out, out_row0);
-  for (int r = 0; r < out.rows(); ++r) {
-    for (int c = 0; c < out.cols(); ++c) {
-      if (r >= out_row0 && r < out_row0 + a.rows()) {
-        EXPECT_EQ(out.at(r, c), ref.at(r - out_row0, c))
-            << "segment row " << r << " col " << c;
-      } else {
-        EXPECT_EQ(out.at(r, c), -7.0) << "row " << r << " was touched";
-      }
-    }
-  }
-}
-
 TEST(MatrixSimdTest, AlignedStorageIs32ByteAligned) {
   for (int n : {1, 3, 17, 64}) {
     Matrix m(n, n, 1.0);
     EXPECT_EQ(reinterpret_cast<uintptr_t>(m.data().data()) % 32, 0u)
         << "rows " << n;
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Batched inference over real bundles (suite name is part of the TSan CI
-// shard's filter).
-
-Result<core::PretrainedBundle> SmallBundle() {
-  std::vector<JobGraph> jobs;
-  for (int i = 0; i < 4; ++i) {
-    jobs.push_back(workloads::BuildPqpJob(workloads::PqpTemplate::kLinear, i));
-  }
-  for (int i = 0; i < 4; ++i) {
-    jobs.push_back(
-        workloads::BuildPqpJob(workloads::PqpTemplate::kTwoWayJoin, i));
-  }
-  core::HistoryOptions hist;
-  hist.samples_per_job = 6;
-  core::PretrainOptions pre;
-  pre.k = 2;
-  pre.epochs = 6;
-  pre.hidden_dim = 12;
-  pre.gnn_layers = 2;
-  return core::Pretrainer(pre).Run(core::CollectHistory(jobs, hist));
-}
-
-TEST(BatchedInferenceTest, RandomJobSetsBitIdenticalToSequential) {
-  auto bundle = SmallBundle();
-  ASSERT_TRUE(bundle.ok());
-
-  Rng rng(53);
-  std::vector<JobGraph> pool;
-  for (workloads::NexmarkQuery q : workloads::AllNexmarkQueries()) {
-    pool.push_back(workloads::BuildNexmarkJob(q, workloads::Engine::kFlink));
-  }
-  for (int batch_size : {1, 3, 7}) {
-    // Random job set with random source rates (duplicates allowed, so the
-    // per-batch graph-context dedup is exercised).
-    std::vector<const JobGraph*> graphs;
-    std::vector<std::vector<double>> rates;
-    for (int i = 0; i < batch_size; ++i) {
-      const JobGraph& g =
-          pool[static_cast<size_t>(rng.Uniform() * pool.size()) %
-               pool.size()];
-      graphs.push_back(&g);
-      std::vector<double> r(g.num_operators(), 0.0);
-      for (int v = 0; v < g.num_operators(); ++v) {
-        if (g.op(v).is_source()) r[v] = 1e4 + 9e5 * rng.Uniform();
-      }
-      rates.push_back(std::move(r));
-    }
-    const int c = bundle->AssignCluster(*graphs[0]);
-    std::vector<core::PretrainedBundle::EmbeddingQuery> queries;
-    for (int i = 0; i < batch_size; ++i) {
-      queries.push_back(
-          core::PretrainedBundle::EmbeddingQuery{graphs[i], &rates[i]});
-    }
-    std::vector<Matrix> batched = bundle->BatchedAgnosticEmbeddings(c, queries);
-    ASSERT_EQ(batched.size(), queries.size());
-    for (int i = 0; i < batch_size; ++i) {
-      Matrix seq = bundle->AgnosticEmbeddings(c, *graphs[i], rates[i]);
-      ASSERT_TRUE(batched[i].same_shape(seq));
-      for (size_t k = 0; k < seq.size(); ++k) {
-        EXPECT_EQ(batched[i].data()[k], seq.data()[k])
-            << "batch " << batch_size << " job " << i << " entry " << k;
-      }
-    }
-  }
-}
-
-TEST(BatchedInferenceTest, BatchedPrimingMatchesLazyRecommendations) {
-  auto bundle_result = SmallBundle();
-  ASSERT_TRUE(bundle_result.ok());
-  auto bundle = std::make_shared<const core::PretrainedBundle>(
-      std::move(*bundle_result));
-
-  JobGraph job =
-      workloads::BuildPqpJob(workloads::PqpTemplate::kTwoWayJoin, 9);
-  sim::PerfModel model(job, workloads::CostConfigFor(job));
-  sim::FlinkEngine engine(job, model, sim::SimConfig{});
-  std::vector<int> ones(job.num_operators(), 1);
-  ASSERT_TRUE(engine.Deploy(ones).ok());
-
-  const int cluster = bundle->AssignCluster(job);
-  const int emb_dim = bundle->cluster(cluster).encoder.config().hidden_dim +
-                      FeatureEncoder::kRateFeatures;
-  auto dataset = bundle->WarmUpDataset(cluster, 60, 19);
-  ASSERT_FALSE(dataset.empty());
-
-  core::StreamTuneTuner lazy(bundle), primed(bundle);
-  std::vector<double> rates = engine.current_source_rates();
-  std::vector<core::StreamTuneTuner::PendingJob> pending{
-      {&primed, &job, &rates}};
-  core::StreamTuneTuner::BatchedInference(pending);
-
-  auto fitted = lazy.MakeModel(emb_dim);
-  ASSERT_TRUE(fitted->Fit(dataset).ok());
-  std::vector<int> want = lazy.Recommend(engine, *fitted, cluster);
-  std::vector<int> got = primed.Recommend(engine, *fitted, cluster);
-  EXPECT_EQ(got, want);
-}
-
-TEST(BatchedInferenceTest, ConcurrentBatchedCallsBitIdentical) {
-  auto bundle = SmallBundle();
-  ASSERT_TRUE(bundle.ok());
-
-  JobGraph a = workloads::BuildPqpJob(workloads::PqpTemplate::kLinear, 9);
-  JobGraph b = workloads::BuildPqpJob(workloads::PqpTemplate::kTwoWayJoin, 9);
-  std::vector<double> ra(a.num_operators(), 0.0), rb(b.num_operators(), 0.0);
-  for (int v = 0; v < a.num_operators(); ++v) {
-    if (a.op(v).is_source()) ra[v] = 2e5;
-  }
-  for (int v = 0; v < b.num_operators(); ++v) {
-    if (b.op(v).is_source()) rb[v] = 3e5;
-  }
-  const int c = bundle->AssignCluster(a);
-  std::vector<core::PretrainedBundle::EmbeddingQuery> queries{{&a, &ra},
-                                                              {&b, &rb}};
-  const std::vector<Matrix> reference =
-      bundle->BatchedAgnosticEmbeddings(c, queries);
-
-  // Many threads batching against one frozen bundle at once: results must
-  // be bit-identical to the single-threaded reference (each thread has its
-  // own workspace), and TSan must stay quiet.
-  constexpr int kThreads = 4;
-  std::vector<std::vector<Matrix>> results(kThreads);
-  std::vector<std::thread> workers;
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      for (int round = 0; round < 3; ++round) {
-        results[t] = bundle->BatchedAgnosticEmbeddings(c, queries);
-      }
-    });
-  }
-  for (std::thread& w : workers) w.join();
-  for (int t = 0; t < kThreads; ++t) {
-    ASSERT_EQ(results[t].size(), reference.size()) << "thread " << t;
-    for (size_t i = 0; i < reference.size(); ++i) {
-      ASSERT_TRUE(results[t][i].same_shape(reference[i]));
-      for (size_t k = 0; k < reference[i].size(); ++k) {
-        EXPECT_EQ(results[t][i].data()[k], reference[i].data()[k])
-            << "thread " << t << " job " << i << " entry " << k;
-      }
-    }
   }
 }
 

@@ -3,7 +3,7 @@
 // numerics — full Pretrainer::Run output (serialized weights round-trip
 // doubles exactly at precision 17) across thread counts, the classifier
 // training loop against a hand-rolled replica, and the bundle's inference
-// paths — sequential and batched.
+// path against a hand-built tape forward.
 
 #include <gtest/gtest.h>
 
@@ -102,43 +102,6 @@ TEST(MlEquivalenceTest, AgnosticEmbeddingsMatchDirectTapeForward) {
       for (int j = 0; j < emb.cols(); ++j) {
         EXPECT_EQ(got.at(v, j), emb.at(v, j))
             << rec.graph.name() << " op " << v << " dim " << j;
-      }
-    }
-  }
-}
-
-// The cross-job batched inference path must be a pure throughput change:
-// every embedding matrix it returns — including the appended rate block —
-// is bit-identical to the sequential per-job path.
-TEST(MlEquivalenceTest, BatchedAgnosticEmbeddingsMatchSequential) {
-  std::vector<HistoryRecord> corpus = NexmarkCorpus();
-  PretrainOptions opts = FastOptions();
-  auto bundle = Pretrainer(opts).Run(corpus);
-  ASSERT_TRUE(bundle.ok());
-
-  for (int c = 0; c < bundle->num_clusters(); ++c) {
-    // Batch all records of the cluster at once (duplicate graphs included —
-    // they exercise the context dedup).
-    std::vector<PretrainedBundle::EmbeddingQuery> queries;
-    std::vector<const HistoryRecord*> batched_recs;
-    for (int idx : bundle->cluster(c).record_indices) {
-      const HistoryRecord& rec = bundle->records()[idx];
-      queries.push_back(
-          PretrainedBundle::EmbeddingQuery{&rec.graph, &rec.source_rates});
-      batched_recs.push_back(&rec);
-    }
-    ASSERT_FALSE(queries.empty());
-    std::vector<ml::Matrix> batched =
-        bundle->BatchedAgnosticEmbeddings(c, queries);
-    ASSERT_EQ(batched.size(), queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      const HistoryRecord& rec = *batched_recs[i];
-      ml::Matrix seq =
-          bundle->AgnosticEmbeddings(c, rec.graph, rec.source_rates);
-      ASSERT_TRUE(batched[i].same_shape(seq)) << rec.graph.name();
-      for (size_t k = 0; k < seq.size(); ++k) {
-        EXPECT_EQ(batched[i].data()[k], seq.data()[k])
-            << rec.graph.name() << " entry " << k;
       }
     }
   }

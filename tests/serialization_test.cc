@@ -212,6 +212,42 @@ TEST(SerializationTest, BundleBitFlipsNeverCrashTheLoader) {
   std::remove(path.c_str());
 }
 
+// Weights that parse but are not finite must not load: a NaN or Inf weight
+// would silently poison every embedding and prediction of the bundle.
+TEST(SerializationTest, LoadBundleRejectsNonFiniteWeights) {
+  auto corpus = SampleCorpus();
+  PretrainOptions pre;
+  pre.use_clustering = false;
+  pre.epochs = 2;
+  pre.hidden_dim = 16;
+  auto bundle = Pretrainer(pre).Run(corpus);
+  ASSERT_TRUE(bundle.ok());
+  std::string path = TempPath("nonfinite");
+  ASSERT_TRUE(SaveBundle(*bundle, path).ok());
+  std::string content;
+  {
+    std::ifstream in(path);
+    std::stringstream buf;
+    buf << in.rdbuf();
+    content = buf.str();
+  }
+  // The first token of the first matrix row: every "mat" block is a weight.
+  const size_t mat = content.find("\nmat ");
+  ASSERT_NE(mat, std::string::npos);
+  const size_t token = content.find('\n', mat + 1) + 1;
+  const size_t token_end = content.find_first_of(" \n", token);
+  for (const char* bad : {"nan", "inf"}) {
+    std::string tampered = content;
+    tampered.replace(token, token_end - token, bad);
+    {
+      std::ofstream os(path, std::ios::trunc);
+      os << tampered;
+    }
+    EXPECT_FALSE(LoadBundle(path).ok()) << bad;
+  }
+  std::remove(path.c_str());
+}
+
 TEST(SerializationTest, LoadBundleRejectsTruncatedFile) {
   auto corpus = SampleCorpus();
   PretrainOptions pre;

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 
 #include "core/history.h"
 #include "core/pretrain.h"
 #include "core/streamtune_tuner.h"
+#include "ml/gbdt.h"
+#include "ml/nn_classifier.h"
+#include "ml/svm.h"
 #include "sim/engine.h"
 #include "workloads/cost_config.h"
 #include "workloads/pqp.h"
@@ -149,6 +154,62 @@ TEST_F(StreamTuneTest, AllThreeModelFamiliesRun) {
     ASSERT_TRUE(outcome.ok()) << FineTuneModelName(mtype);
     EXPECT_GE(outcome->iterations, 1);
   }
+}
+
+// One training-set check guards every M_f family: a NaN or Inf embedding
+// entry (undefined behaviour in the GBDT's split sort), a parallelism below
+// 1 and a label outside {0, 1} are all rejected before any fitting starts.
+TEST(BottleneckModelTest, EveryFamilyRejectsInvalidSamples) {
+  const int dim = 3;
+  std::vector<std::unique_ptr<ml::BottleneckModel>> models;
+  models.push_back(std::make_unique<ml::MonotonicSvm>(dim));
+  models.push_back(std::make_unique<ml::MonotonicGbdt>(dim));
+  models.push_back(std::make_unique<ml::NnClassifier>(dim));
+  ml::LabeledSample hot{{0.1, 0.2, 0.3}, 2, 1};
+  ml::LabeledSample cold{{0.1, 0.2, 0.3}, 8, 0};
+  std::vector<ml::LabeledSample> bad(4, hot);
+  bad[0].embedding[1] = std::nan("");
+  bad[1].embedding[2] = std::numeric_limits<double>::infinity();
+  bad[2].parallelism = 0;
+  bad[3].label = 2;
+  for (const auto& model : models) {
+    EXPECT_TRUE(model->Fit({hot, cold}).ok()) << model->name();
+    for (size_t i = 0; i < bad.size(); ++i) {
+      EXPECT_EQ(model->Fit({hot, cold, bad[i]}).code(),
+                StatusCode::kInvalidArgument)
+          << model->name() << " bad sample " << i;
+    }
+  }
+}
+
+// A NaN sample in the seeded feedback makes every M_f fit fail, so each
+// iteration takes the DS2 fallback: the process still completes, exactly
+// like one whose seeded sample has the wrong embedding width.
+TEST_F(StreamTuneTest, NanSeedFeedbackFallsBackToDs2) {
+  JobGraph job = workloads::BuildPqpJob(workloads::PqpTemplate::kTwoWayJoin,
+                                        9);
+  const int cluster = bundle_->AssignCluster(job);
+  const int dim = bundle_->cluster(cluster).encoder.config().hidden_dim +
+                  FeatureEncoder::kRateFeatures;
+  ml::LabeledSample nan_sample{std::vector<double>(dim, 0.5), 4, 1};
+  nan_sample.embedding[0] = std::nan("");
+  ml::LabeledSample short_sample{std::vector<double>(dim - 1, 0.5), 4, 1};
+
+  std::vector<baselines::TuningOutcome> outcomes;
+  for (const ml::LabeledSample& seeded : {nan_sample, short_sample}) {
+    sim::FlinkEngine engine = MakeEngine(job);
+    ASSERT_TRUE(engine.Deploy(std::vector<int>(job.num_operators(), 1)).ok());
+    engine.ScaleAllSources(10.0);
+    StreamTuneTuner tuner(bundle_);
+    tuner.SeedFeedback(job.name(), {seeded});
+    auto outcome = tuner.Tune(&engine);
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_GE(outcome->iterations, 1);
+    outcomes.push_back(*outcome);
+  }
+  EXPECT_EQ(outcomes[0].final_parallelism, outcomes[1].final_parallelism);
+  EXPECT_EQ(outcomes[0].reconfigurations, outcomes[1].reconfigurations);
+  EXPECT_EQ(outcomes[0].iterations, outcomes[1].iterations);
 }
 
 TEST_F(StreamTuneTest, NameReflectsModelFamily) {

@@ -2,9 +2,8 @@
 //
 // Usage:
 //   st_analyze [--root=DIR] [--baseline=FILE] [--write-baseline=FILE]
-//              [--rule=st-name ...] [--sarif=FILE]
-//              [--threads=N] [--stats] [--list-rules] [--unreferenced]
-//              PATH...
+//              [--rule=st-name ...] [--threads=N] [--stats]
+//              [--list-rules] [--unreferenced] PATH...
 //
 // PATHs are files or directories relative to --root (default: cwd).
 // Directories are walked recursively for *.h / *.cc, skipping
@@ -23,7 +22,6 @@
 #include "analysis/analyzer.h"
 #include "analysis/graph_rules.h"
 #include "analysis/rules.h"
-#include "analysis/sarif.h"
 
 namespace {
 
@@ -32,8 +30,8 @@ int Usage() {
       stderr,
       "usage: st_analyze [--root=DIR] [--baseline=FILE]\n"
       "                  [--write-baseline=FILE] [--rule=st-name ...]\n"
-      "                  [--sarif=FILE] [--threads=N]\n"
-      "                  [--stats] [--list-rules] [--unreferenced] PATH...\n");
+      "                  [--threads=N] [--stats] [--list-rules]\n"
+      "                  [--unreferenced] PATH...\n");
   return 2;
 }
 
@@ -73,7 +71,6 @@ int main(int argc, char** argv) {
   AnalyzerOptions options;
   std::string baseline_path;
   std::string write_baseline_path;
-  std::string sarif_path;
   bool stats = false;
   bool unreferenced = false;
 
@@ -107,8 +104,6 @@ int main(int argc, char** argv) {
       write_baseline_path = v;
     } else if (const char* v = value_of("--rule")) {
       options.enabled_rules.insert(v);
-    } else if (const char* v = value_of("--sarif")) {
-      sarif_path = v;
     } else if (const char* v = value_of("--threads")) {
       options.threads = std::atoi(v);
     } else if (!arg.empty() && arg[0] == '-') {
@@ -144,14 +139,6 @@ int main(int argc, char** argv) {
     std::printf("st_analyze: %zu unreferenced src/ function(s)\n",
                 report->unreferenced.size());
     return 0;
-  }
-
-  if (!sarif_path.empty()) {
-    auto st = streamtune::analysis::WriteSarif(sarif_path, report->findings);
-    if (!st.ok()) {
-      std::fprintf(stderr, "st_analyze: %s\n", st.ToString().c_str());
-      return 2;
-    }
   }
 
   if (!write_baseline_path.empty()) {
