@@ -55,10 +55,7 @@ struct PreparedSample {
 }  // namespace
 
 int PretrainedBundle::AssignCluster(const JobGraph& g) const {
-  return center_index_
-      .Nearest(g,
-               [this](int c) -> const JobGraph& { return clusters_[c].center; })
-      .index;
+  return graph::NearestCenter(g, centers_);
 }
 
 ml::Matrix PretrainedBundle::AgnosticEmbeddings(

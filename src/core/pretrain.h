@@ -15,7 +15,6 @@
 #include "core/history.h"
 #include "dataflow/feature_encoder.h"
 #include "graph/ged_kmeans.h"
-#include "index/nearest_center_index.h"
 #include "ml/bottleneck_model.h"
 #include "ml/gnn.h"
 #include "ml/nn.h"
@@ -62,7 +61,9 @@ class PretrainedBundle {
       : clusters_(std::move(clusters)),
         records_(std::move(records)),
         feature_encoder_(encoder) {
-    for (const ClusterModel& c : clusters_) center_index_.Insert(c.center);
+    centers_.reserve(clusters_.size());
+    for (const ClusterModel& c : clusters_) centers_.push_back(c.center);
+    for (const JobGraph& g : centers_) g.WarmAdjacency();
   }
 
   int num_clusters() const { return static_cast<int>(clusters_.size()); }
@@ -70,18 +71,14 @@ class PretrainedBundle {
   const std::vector<HistoryRecord>& records() const { return records_; }
   const FeatureEncoder& feature_encoder() const { return feature_encoder_; }
 
-  /// Nearest cluster for a target DAG by GED to the cluster centers
-  /// (Algorithm 2, line 1). Served by the two-stage signature index —
-  /// bit-identical to the linear center scan it replaced.
-  int AssignCluster(const JobGraph& g) const;
+  /// The cluster centers in cluster order, adjacency-warmed at
+  /// construction so the vector can be shared across threads.
+  const std::vector<JobGraph>& centers() const { return centers_; }
 
-  /// The signature index over the cluster centers, built at construction.
-  /// Admission uses it with the KB's shared GedCache; AssignCluster uses
-  /// it cache-less (both give the same answer — see
-  /// index/nearest_center_index.h on order independence).
-  const index::NearestCenterIndex& center_index() const {
-    return center_index_;
-  }
+  /// Nearest cluster for a target DAG by GED to the cluster centers
+  /// (Algorithm 2, line 1): graph::NearestCenter's branch-and-bound scan,
+  /// lowest cluster id on ties.
+  int AssignCluster(const JobGraph& g) const;
 
   /// Parallelism-agnostic embeddings of `g`'s operators (rows) under
   /// cluster c's frozen encoder, with `rates` as the current source rates.
@@ -108,7 +105,7 @@ class PretrainedBundle {
   std::vector<ClusterModel> clusters_;
   std::vector<HistoryRecord> records_;
   FeatureEncoder feature_encoder_;
-  index::NearestCenterIndex center_index_;
+  std::vector<JobGraph> centers_;
 };
 
 /// Runs clustering + per-cluster supervised pre-training on a corpus.

@@ -18,7 +18,6 @@ KnowledgeBase StateFromBundle(
   }
   kb.pretrain_corpus_size = static_cast<long long>(bundle->records().size());
   kb.bundle = std::move(bundle);
-  SyncCorpusIndex(&kb);
   return kb;
 }
 

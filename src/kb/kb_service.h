@@ -41,12 +41,6 @@ class KbSnapshot {
   std::shared_ptr<const core::PretrainedBundle> bundle() const {
     return kb_.bundle;
   }
-  /// The bit-sliced signature index over this snapshot's corpus (column i
-  /// == bundle records()[i]); rebuilt/extended copy-on-write with the rest
-  /// of the state, so it is as immutable as the snapshot itself.
-  const index::NearestCenterIndex& corpus_index() const {
-    return kb_.corpus_index;
-  }
   /// What the KB knows about `job`; nullptr when it was never admitted.
   const JobKnowledge* job(const std::string& name) const;
 
@@ -74,8 +68,8 @@ struct KbServiceStats {
   /// Admissions that triggered an inline re-pre-training.
   long long repretrains = 0;
 
-  /// GED-cache counters at sample time — how much GED work the signature
-  /// index plus the cache saved the admission path (bench + watchdog
+  /// GED-cache counters at sample time — how much GED work the shared
+  /// cache saved the admission path's center scans (bench + watchdog
   /// signal). Sampled from the shared cache's atomics right after the
   /// consistent block; monotone like the other counters.
   long long ged_hits_exact = 0;
@@ -102,9 +96,6 @@ struct KbServiceStats {
   long long writer_queue_depth() const {
     return admissions_started - admissions_completed;
   }
-  /// Admissions the published snapshot does not yet reflect — how far the
-  /// reader-visible state lags the write stream ("snapshot age").
-  long long snapshot_age() const { return writer_queue_depth(); }
 
   /// Internal invariants of one sample.
   bool Consistent() const {
@@ -174,7 +165,6 @@ class KbService {
   long long version() const { return Snapshot()->version(); }
 
   const KbUpdateOptions& options() const { return updater_.options(); }
-  graph::GedCache* ged_cache() { return &cache_; }
 
  private:
   KbService(KnowledgeBase kb, KbUpdateOptions options);

@@ -1,7 +1,5 @@
 #include "kb/kb_store.h"
 
-#include <algorithm>
-#include <charconv>
 #include <fstream>
 #include <sstream>
 
@@ -12,16 +10,17 @@ namespace streamtune::kb {
 namespace {
 
 constexpr const char* kKbMagic = "STKB";
-// Version 2 added the "index" section (bit-sliced corpus signatures);
-// version-1 files are still accepted — their index is rebuilt from the
-// corpus on load.
-constexpr int kKbVersion = 2;
-constexpr int kLegacyKbVersion = 1;
+constexpr int kKbVersion = 1;
+// Version 2 appended an "index" section (corpus signatures). It is still
+// accepted: the section is framed and checksummed like the others, then
+// dropped.
+constexpr int kIndexKbVersion = 2;
 
-// Fixed section order; a loaded file must contain exactly these.
+// Fixed section order; a loaded file must contain exactly these (plus the
+// trailing "index" section in a version-2 file).
 constexpr const char* kSectionNames[] = {"bundle", "stats", "jobs", "index"};
-constexpr int kNumSections = 4;
-constexpr int kNumLegacySections = 3;
+constexpr int kNumSections = 3;
+constexpr int kNumIndexSections = 4;
 
 using core::io::DoubleToken;
 using core::io::ExpectToken;
@@ -153,96 +152,6 @@ Status ReadJobsBody(std::istream& is, KnowledgeBase* kb) {
   return Status::OK();
 }
 
-/// Strict hex uint64 (the signature words; io::IntToken is signed decimal).
-Result<uint64_t> HexToken(std::istream& is) {
-  ST_ASSIGN_OR_RETURN(std::string tok, Token(is));
-  uint64_t v = 0;
-  const char* end = tok.data() + tok.size();
-  auto [p, ec] = std::from_chars(tok.data(), end, v, 16);
-  if (ec != std::errc() || p != end) {
-    return Status::InvalidArgument("malformed hex token '" + tok + "'");
-  }
-  return v;
-}
-
-index::NearestCenterIndex BuildCorpusIndex(const core::PretrainedBundle& b) {
-  index::NearestCenterIndex idx;
-  for (const core::HistoryRecord& rec : b.records()) idx.Insert(rec.graph);
-  return idx;
-}
-
-Status WriteIndexBody(std::ostream& os, const index::NearestCenterIndex& idx) {
-  os << "index " << idx.size() << '\n';
-  for (int i = 0; i < idx.size(); ++i) {
-    const index::GraphFeatures& f = idx.slices().features(i);
-    const index::WlSignature sig = idx.slices().signature(i);
-    os << "g " << f.nodes << ' ' << f.edges;
-    for (int t = 0; t < kNumOperatorTypes; ++t) os << ' ' << f.type_hist[t];
-    os << std::hex;
-    for (int w = 0; w < index::kSignatureWords; ++w) os << ' ' << sig.words[w];
-    os << std::dec << '\n';
-  }
-  return Status::OK();
-}
-
-Status ReadIndexBody(std::istream& is, KnowledgeBase* kb) {
-  ST_RETURN_NOT_OK(ExpectToken(is, "index").status());
-  ST_ASSIGN_OR_RETURN(long long n, IntToken(is));
-  const long long corpus = static_cast<long long>(kb->bundle->records().size());
-  if (n != corpus) {
-    return Status::InvalidArgument(
-        "index column count does not match corpus size");
-  }
-  kb->corpus_index = index::NearestCenterIndex();
-  for (long long i = 0; i < n; ++i) {
-    ST_RETURN_NOT_OK(ExpectToken(is, "g").status());
-    index::GraphFeatures f;
-    ST_ASSIGN_OR_RETURN(long long nodes, IntToken(is));
-    ST_ASSIGN_OR_RETURN(long long edges, IntToken(is));
-    if (nodes < 0 || nodes > 1000000 || edges < 0 || edges > 10000000) {
-      return Status::InvalidArgument("implausible index features");
-    }
-    f.nodes = static_cast<int32_t>(nodes);
-    f.edges = static_cast<int32_t>(edges);
-    long long hist_sum = 0;
-    for (int t = 0; t < kNumOperatorTypes; ++t) {
-      ST_ASSIGN_OR_RETURN(long long h, IntToken(is));
-      if (h < 0 || h > nodes) {
-        return Status::InvalidArgument("type histogram out of range");
-      }
-      f.type_hist[t] = static_cast<int32_t>(h);
-      hist_sum += h;
-    }
-    if (hist_sum != nodes) {
-      return Status::InvalidArgument("type histogram does not sum to nodes");
-    }
-    index::WlSignature sig;
-    for (int w = 0; w < index::kSignatureWords; ++w) {
-      ST_ASSIGN_OR_RETURN(sig.words[w], HexToken(is));
-    }
-    kb->corpus_index.Insert(sig, f);
-  }
-  // Defense in depth on top of the CRC: spot-check a deterministic sample
-  // of columns against signatures recomputed from the corpus itself, so a
-  // file whose index and corpus were edited consistently with their CRCs
-  // but inconsistently with each other is still rejected.
-  if (n > 0) {
-    const long long stride = std::max(1LL, n / 16);
-    for (long long i = 0; i < n; i += stride) {
-      const JobGraph& g = kb->bundle->records()[static_cast<size_t>(i)].graph;
-      if (!(kb->corpus_index.slices().signature(static_cast<int>(i)) ==
-            index::ComputeWlSignature(g)) ||
-          !(kb->corpus_index.slices().features(static_cast<int>(i)) ==
-            index::ComputeGraphFeatures(g))) {
-        return Status::InvalidArgument(
-            "index column " + std::to_string(i) +
-            " is inconsistent with the stored corpus");
-      }
-    }
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status ValidateKb(const KnowledgeBase& kb) {
@@ -268,20 +177,15 @@ Status ValidateKb(const KnowledgeBase& kb) {
       return Status::InvalidArgument("negative per-job admission count");
     }
   }
-  if (static_cast<long long>(kb.corpus_index.size()) != corpus) {
-    return Status::InvalidArgument(
-        "corpus index out of sync with corpus size");
-  }
   return Status::OK();
 }
 
-void SyncCorpusIndex(KnowledgeBase* kb) {
-  if (!kb->bundle) return;
-  if (static_cast<size_t>(kb->corpus_index.size()) ==
-      kb->bundle->records().size()) {
-    return;
-  }
-  kb->corpus_index = BuildCorpusIndex(*kb->bundle);
+Status ValidateFeedback(const core::PretrainedBundle& bundle,
+                        const std::vector<ml::LabeledSample>& feedback) {
+  if (feedback.empty()) return Status::OK();
+  const int width = bundle.cluster(0).encoder.config().hidden_dim +
+                    FeatureEncoder::kRateFeatures;
+  return ml::CheckTrainingSet(feedback, width);
 }
 
 void WarmBundleGraphs(const core::PretrainedBundle& bundle) {
@@ -304,10 +208,8 @@ Status SaveKb(const KnowledgeBase& kb, const std::string& path) {
       ST_RETURN_NOT_OK(core::WriteBundleBody(body, *kb.bundle));
     } else if (name == "stats") {
       ST_RETURN_NOT_OK(WriteStatsBody(body, kb));
-    } else if (name == "jobs") {
-      ST_RETURN_NOT_OK(WriteJobsBody(body, kb));
     } else {
-      ST_RETURN_NOT_OK(WriteIndexBody(body, kb.corpus_index));
+      ST_RETURN_NOT_OK(WriteJobsBody(body, kb));
     }
     bodies[s] = body.str();
   }
@@ -329,12 +231,12 @@ Result<KnowledgeBase> LoadKb(const std::string& path) {
   if (!is) return Status::NotFound("cannot open '" + path + "'");
   ST_RETURN_NOT_OK(ExpectToken(is, kKbMagic).status());
   ST_ASSIGN_OR_RETURN(long long version, IntToken(is));
-  if (version != kKbVersion && version != kLegacyKbVersion) {
+  if (version != kKbVersion && version != kIndexKbVersion) {
     return Status::InvalidArgument("unsupported KB version " +
                                    std::to_string(version));
   }
   const int num_sections =
-      version == kLegacyKbVersion ? kNumLegacySections : kNumSections;
+      version == kIndexKbVersion ? kNumIndexSections : kNumSections;
   ST_RETURN_NOT_OK(ExpectToken(is, "sections").status());
   ST_ASSIGN_OR_RETURN(long long n, IntToken(is));
   if (n != num_sections) {
@@ -379,13 +281,17 @@ Result<KnowledgeBase> LoadKb(const std::string& path) {
       ST_RETURN_NOT_OK(ReadStatsBody(body_is, &kb));
     } else if (name == "jobs") {
       ST_RETURN_NOT_OK(ReadJobsBody(body_is, &kb));
-    } else {
-      ST_RETURN_NOT_OK(ReadIndexBody(body_is, &kb));
+    }
+    // A version-2 "index" body has passed the checks above; it is dropped.
+  }
+  ST_RETURN_NOT_OK(ValidateKb(kb));
+  for (const auto& [name, job] : kb.jobs) {
+    Status fit = ValidateFeedback(*kb.bundle, job.feedback);
+    if (!fit.ok()) {
+      return Status::InvalidArgument("job '" + name +
+                                     "' feedback: " + fit.message());
     }
   }
-  // Version-1 files carry no index section; rebuild it from the corpus.
-  SyncCorpusIndex(&kb);
-  ST_RETURN_NOT_OK(ValidateKb(kb));
   WarmBundleGraphs(*kb.bundle);
   return kb;
 }

@@ -4,7 +4,7 @@
 #include <utility>
 
 #include "core/serialization.h"
-#include "index/nearest_center_index.h"
+#include "graph/ged_kmeans.h"
 
 namespace streamtune::kb {
 
@@ -47,19 +47,15 @@ Result<AdmissionOutcome> KbUpdater::Admit(KnowledgeBase* kb,
   ST_RETURN_NOT_OK(ValidateKb(*kb));
   ST_RETURN_NOT_OK(ValidateRecord(rec.record));
   const core::PretrainedBundle& old = *kb->bundle;
+  ST_RETURN_NOT_OK(ValidateFeedback(old, rec.feedback));
 
   // Nearest-center assignment by GED (Algorithm 2 line 1, reused for the
-  // feedback edge), served by the bundle's two-stage signature index:
-  // signature scan orders the centers, the sound lower bound prunes, GED
-  // (through the shared cache) verifies survivors. Returns the identical
-  // (cluster, exact distance) pair the old linear DistancesToCenters scan
-  // produced — see index/nearest_center_index.h.
-  const index::NearestCenterIndex::NearestResult nearest =
-      old.center_index().Nearest(
-          rec.record.graph,
-          [&old](int c) -> const JobGraph& { return old.cluster(c).center; },
-          cache_);
-  const int cluster = nearest.index;
+  // feedback edge) through the shared cache: the branch-and-bound center
+  // scan, whose minimum is an exact distance (lowest cluster id on ties).
+  const std::vector<double> dist =
+      graph::DistancesToCenters(rec.record.graph, old.centers(), cache_);
+  const int cluster = static_cast<int>(
+      std::min_element(dist.begin(), dist.end()) - dist.begin());
 
   // Append to the corpus: a new bundle sharing the existing cluster models
   // (encoders/heads are immutable once trained, so shallow ClusterModel
@@ -77,14 +73,11 @@ Result<AdmissionOutcome> KbUpdater::Admit(KnowledgeBase* kb,
       std::move(clusters), std::move(records), old.feature_encoder());
   WarmBundleGraphs(*bundle);
   kb->bundle = std::move(bundle);
-  // Extend the corpus index with the new record's column (incremental: the
-  // existing slice groups are untouched).
-  kb->corpus_index.Insert(rec.record.graph);
 
   AdmissionOutcome outcome;
   outcome.cluster = cluster;
-  outcome.distance = nearest.distance;
-  outcome.drifted = nearest.distance > options_.drift_distance;
+  outcome.distance = dist[cluster];
+  outcome.drifted = outcome.distance > options_.drift_distance;
 
   kb->appearance[cluster] += 1;
   kb->admissions_total += 1;
@@ -132,10 +125,6 @@ Status KbUpdater::Repretrain(KnowledgeBase* kb) const {
       static_cast<long long>(bundle->records().size());
   kb->drifted_since_pretrain = 0;
   kb->bundle = std::move(bundle);
-  // Re-pre-training may reorder or re-cluster the corpus; rebuild the
-  // index from scratch so column i always means records()[i].
-  kb->corpus_index = index::NearestCenterIndex();
-  SyncCorpusIndex(kb);
   return Status::OK();
 }
 

@@ -67,8 +67,9 @@ class KbUpdater {
   KbUpdater(KbUpdateOptions options, graph::GedCache* cache)
       : options_(options), cache_(cache) {}
 
-  /// Admits one session into `kb`: validates the record, assigns the
-  /// nearest cluster, appends to the corpus (replacing kb->bundle with a
+  /// Admits one session into `kb`: validates the record and its feedback
+  /// (ValidateFeedback), assigns the nearest cluster by a GED scan over the
+  /// bundle's centers, appends to the corpus (replacing kb->bundle with a
   /// new one sharing the existing cluster models), and accumulates the
   /// per-job artifacts. Does NOT re-pretrain; check NeedsRepretrain.
   Result<AdmissionOutcome> Admit(KnowledgeBase* kb,

@@ -1,6 +1,6 @@
 // Fixture: the mutable-stats pattern done right — const query methods and
 // copy helpers take the stats mutex before touching the guarded counters
-// (mirrors index::NearestCenterIndex) — st-lock-guarded-by stays silent.
+// (a const query path that counts its calls) — st-lock-guarded-by is silent.
 #include <mutex>
 
 #include "common/annotations.h"

@@ -7,9 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <thread>
 #include <vector>
 
+#include "graph/ged.h"
+#include "graph/ged_kmeans.h"
 #include "kb/kb_service.h"
 #include "sim/engine.h"
 #include "workloads/cost_config.h"
@@ -161,6 +164,63 @@ TEST(KbServiceTest, RejectsMalformedAdmission) {
   EXPECT_EQ((*service)->Snapshot()->version(), 0);
 }
 
+TEST(KbServiceTest, AdmitRejectsUnfittableFeedback) {
+  auto service = KbService::Build(SampleCorpus(), SmallOptions());
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  JobGraph q5 = workloads::BuildNexmarkJob(workloads::NexmarkQuery::kQ5,
+                                           workloads::Engine::kFlink);
+  AdmissionRecord rec = MakeAdmission(q5, 91);
+  auto snapshot = (*service)->Snapshot();
+  rec.feedback = snapshot->bundle()->WarmUpDataset(
+      snapshot->bundle()->AssignCluster(q5), 5, 91);
+  ASSERT_FALSE(rec.feedback.empty());
+
+  // One sample no M_f fit accepts turns the whole admission away.
+  AdmissionRecord nan_entry = rec;
+  nan_entry.feedback[0].embedding[0] = std::nan("");
+  EXPECT_FALSE((*service)->Admit(nan_entry).ok());
+  AdmissionRecord zero_degree = rec;
+  zero_degree.feedback.back().parallelism = 0;
+  EXPECT_FALSE((*service)->Admit(zero_degree).ok());
+  AdmissionRecord wrong_width = rec;
+  wrong_width.feedback[0].embedding.pop_back();
+  EXPECT_FALSE((*service)->Admit(wrong_width).ok());
+  EXPECT_EQ((*service)->Snapshot()->version(), 0);
+
+  ASSERT_TRUE((*service)->Admit(rec).ok());
+  EXPECT_EQ((*service)->Snapshot()->job(q5.name())->feedback.size(),
+            rec.feedback.size());
+}
+
+TEST(KbServiceTest, AdmissionOutcomeIsExactNearestCenter) {
+  auto service = KbService::Build(SampleCorpus(), SmallOptions());
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  const std::vector<JobGraph> jobs = {
+      workloads::BuildNexmarkJob(workloads::NexmarkQuery::kQ8,
+                                 workloads::Engine::kFlink),
+      workloads::BuildNexmarkJob(workloads::NexmarkQuery::kQ5,
+                                 workloads::Engine::kFlink),
+      workloads::BuildPqpJob(workloads::PqpTemplate::kTwoWayJoin, 2),
+      workloads::BuildPqpJob(workloads::PqpTemplate::kLinear, 3),
+      workloads::BuildNexmarkJob(workloads::NexmarkQuery::kQ8,
+                                 workloads::Engine::kFlink),
+  };
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    auto bundle = (*service)->Snapshot()->bundle();
+    std::vector<JobGraph> centers;
+    for (int c = 0; c < bundle->num_clusters(); ++c) {
+      centers.push_back(bundle->cluster(c).center);
+    }
+    auto outcome = (*service)->Admit(MakeAdmission(jobs[i], 300 + i));
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    ASSERT_EQ(outcome->cluster, graph::NearestCenter(jobs[i], centers))
+        << jobs[i].name();
+    EXPECT_EQ(outcome->distance,
+              graph::ComputeGed(jobs[i], centers[outcome->cluster]).distance)
+        << jobs[i].name();
+  }
+}
+
 // The TSan target: concurrent readers run GNN inference against whatever
 // snapshot is current while one writer admits sessions, repeatedly swapping
 // the published state and re-pretraining mid-stream. Any unsynchronized
@@ -244,7 +304,6 @@ TEST(KbServiceTest, StatsMonotoneAndConsistentAcrossAdmissions) {
   EXPECT_TRUE(prev.Consistent());
   EXPECT_EQ(prev.snapshot_version, 0);
   EXPECT_EQ(prev.writer_queue_depth(), 0);
-  EXPECT_EQ(prev.snapshot_age(), 0);
 
   JobGraph q8 = workloads::BuildNexmarkJob(workloads::NexmarkQuery::kQ8,
                                            workloads::Engine::kFlink);
@@ -279,8 +338,8 @@ TEST(KbServiceTest, StatsExposeGedCacheCountersFromAdmissions) {
   EXPECT_EQ(before.ged_misses, 0);
   EXPECT_EQ(before.ged_entries, 0);
 
-  // Each admission runs the two-stage nearest-center search through the
-  // service's shared GedCache, so the GED counters must move.
+  // Each admission scans the cluster centers by GED through the service's
+  // shared GedCache, so the GED counters must move.
   JobGraph q8 = workloads::BuildNexmarkJob(workloads::NexmarkQuery::kQ8,
                                            workloads::Engine::kFlink);
   for (uint64_t i = 0; i < 3; ++i) {

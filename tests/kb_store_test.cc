@@ -8,7 +8,6 @@
 #include <sys/stat.h>
 
 #include "common/crc32.h"
-#include "index/wl_signature.h"
 #include "kb/kb_service.h"
 #include "kb/kb_store.h"
 #include "kb/kb_updater.h"
@@ -139,12 +138,12 @@ TEST(KbStoreTest, LegacyGpObservationsAreSkipped) {
   const std::string content = ReadAll(path);
 
   // Lay the jobs section out the way older writers did: a "gp <n>" field on
-  // the job line and n "o" lines after the feedback lines. The one admitted
-  // job's lines run to the end of the section body.
+  // the job line and n "o" lines after the feedback lines. Jobs is the last
+  // section, so the one admitted job's lines run to the end of the file.
   const size_t header = content.find("\nsection jobs ") + 1;
   ASSERT_GT(header, 0u);
   const size_t body_start = content.find('\n', header) + 1;
-  const size_t next = content.find("\nsection index ", body_start) + 1;
+  const size_t next = content.size();
   ASSERT_GT(next, 0u);
   std::string body = content.substr(body_start, next - body_start);
   body.insert(body.find('\n', body.find("\njob ") + 1), " gp 2");
@@ -270,85 +269,103 @@ TEST(KbStoreTest, SaveToUnwritablePathFails) {
   EXPECT_FALSE(st.ok());
 }
 
-// ---- Index section (version 2) ---------------------------------------------
-
-/// Byte offset where the index section's header line starts. The index is
-/// the last section, so [SectionStart, size) covers header + body.
-size_t IndexSectionStart(const std::string& content) {
-  size_t pos = content.find("\nsection index ");
-  EXPECT_NE(pos, std::string::npos);
-  return pos + 1;
-}
-
-/// Byte offset of the index section's body (just past its header newline).
-size_t IndexBodyStart(const std::string& content) {
-  size_t header = IndexSectionStart(content);
-  size_t nl = content.find('\n', header);
-  EXPECT_NE(nl, std::string::npos);
-  return nl + 1;
-}
-
-TEST(KbStoreTest, RoundTripPreservesCorpusIndex) {
+TEST(KbStoreTest, LoadRejectsUnfittableFeedback) {
   auto service = KbService::Build(SampleCorpus(), SmallOptions());
   ASSERT_TRUE(service.ok()) << service.status().ToString();
-  std::string path = TempPath("idxroundtrip");
+  JobGraph q5 = workloads::BuildNexmarkJob(workloads::NexmarkQuery::kQ5,
+                                           workloads::Engine::kFlink);
+  ASSERT_TRUE((*service)->Admit(MakeAdmission(**service, q5, 61)).ok());
+  std::string path = TempPath("unfittable");
   ASSERT_TRUE((*service)->Save(path).ok());
-  auto back = LoadKb(path);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  const std::string content = ReadAll(path);
 
-  const KnowledgeBase& orig = (*service)->Snapshot()->kb();
-  ASSERT_EQ(back->corpus_index.size(), orig.corpus_index.size());
-  ASSERT_EQ(static_cast<size_t>(back->corpus_index.size()),
-            back->bundle->records().size());
-  for (int i = 0; i < back->corpus_index.size(); ++i) {
-    EXPECT_EQ(back->corpus_index.slices().signature(i),
-              index::ComputeWlSignature(back->bundle->records()[i].graph))
-        << i;
+  // Split out the jobs body by its header's byte count; write_jobs puts a
+  // replacement back with a matching length and CRC.
+  const std::string jobs_header = "section jobs ";
+  const size_t header = content.find("\n" + jobs_header) + 1;
+  ASSERT_GT(header, 0u);
+  const size_t body_start = content.find('\n', header) + 1;
+  const size_t body_bytes =
+      std::stoul(content.substr(header + jobs_header.size()));
+  const std::string body = content.substr(body_start, body_bytes);
+  auto write_jobs = [&](const std::string& jobs) {
+    std::ostringstream out;
+    out << content.substr(0, header) << jobs_header << jobs.size() << ' '
+        << Crc32(jobs) << '\n'
+        << jobs << content.substr(body_start + body_bytes);
+    WriteAll(path, out.str());
+  };
+  write_jobs(body);
+  ASSERT_TRUE(LoadKb(path).ok());
+
+  // On the first "f <parallelism> <label> <width> <entries...>" line, put a
+  // value no M_f fit accepts into one token, with a CRC that matches.
+  const size_t line = body.find("\nf ") + 1;
+  ASSERT_GT(line, 0u);
+  for (const auto& [token, value] :
+       {std::pair<int, std::string>{4, "nan"}, {1, "0"}}) {
+    size_t begin = line;
+    for (int t = 0; t < token; ++t) begin = body.find(' ', begin) + 1;
+    const size_t end = body.find_first_of(" \n", begin);
+    write_jobs(body.substr(0, begin) + value + body.substr(end));
+    auto loaded = LoadKb(path);
+    ASSERT_FALSE(loaded.ok()) << "'" << value << "' as token " << token;
+    EXPECT_NE(loaded.status().ToString().find("feedback"), std::string::npos)
+        << loaded.status().ToString();
   }
   std::remove(path.c_str());
 }
 
-TEST(KbStoreTest, LegacyVersion1FileLoadsAndRebuildsIndex) {
+/// Writes to `path` what a version-2 writer produced for a fresh KB: the same
+/// three sections under a "STKB 2" / "sections 4" header, then a trailing
+/// "index" section with one line of corpus signature data per record and a
+/// valid CRC. Asserts that the file loads to the saved state (saving it again
+/// writes the saved bytes), then returns its bytes in `content` and the offset
+/// of the index section header in `index_start`.
+void WriteVersion2File(const std::string& path, std::string* content,
+                       size_t* index_start) {
   auto service = KbService::Build(SampleCorpus(), SmallOptions());
   ASSERT_TRUE(service.ok()) << service.status().ToString();
   JobGraph q5 = workloads::BuildNexmarkJob(workloads::NexmarkQuery::kQ5,
                                            workloads::Engine::kFlink);
   ASSERT_TRUE((*service)->Admit(MakeAdmission(**service, q5, 41)).ok());
-  std::string path = TempPath("v1compat");
   ASSERT_TRUE((*service)->Save(path).ok());
-  std::string content = ReadAll(path);
+  const std::string saved = ReadAll(path);
 
-  // Reconstruct what a pre-index writer produced: version-1 header, three
-  // sections, no index section (it is the last one, so a clean cut).
-  std::string legacy = content.substr(0, IndexSectionStart(content));
-  const std::string v2_header = "STKB 2\nsections 4\n";
-  ASSERT_EQ(legacy.compare(0, v2_header.size(), v2_header), 0);
-  legacy = "STKB 1\nsections 3\n" + legacy.substr(v2_header.size());
-  WriteAll(path, legacy);
+  const std::string v1_header = "STKB 1\nsections 3\n";
+  ASSERT_EQ(saved.compare(0, v1_header.size(), v1_header), 0);
+  const size_t records = (*service)->Snapshot()->bundle()->records().size();
+  std::string index = "index " + std::to_string(records) + "\n";
+  for (size_t i = 0; i < records; ++i) {
+    index += "g 5 4 1 2 1 1 0 0 0 0 9e3779b97f4a7c15 0 7f4a 1\n";
+  }
+  std::ostringstream v2;
+  v2 << "STKB 2\nsections 4\n" << saved.substr(v1_header.size())
+     << "section index " << index.size() << ' ' << Crc32(index) << '\n'
+     << index;
+  *content = v2.str();
+  *index_start = content->find("\nsection index ") + 1;
+  ASSERT_GT(*index_start, 0u);
 
+  WriteAll(path, *content);
   auto back = LoadKb(path);
   ASSERT_TRUE(back.ok()) << back.status().ToString();
-  ASSERT_EQ(static_cast<size_t>(back->corpus_index.size()),
-            back->bundle->records().size());
-  for (int i = 0; i < back->corpus_index.size(); ++i) {
-    EXPECT_EQ(back->corpus_index.slices().signature(i),
-              index::ComputeWlSignature(back->bundle->records()[i].graph))
-        << i;
-  }
-  std::remove(path.c_str());
+  const std::string resaved = TempPath("v2resaved");
+  ASSERT_TRUE(SaveKb(*back, resaved).ok());
+  EXPECT_EQ(ReadAll(resaved), saved);
+  std::remove(resaved.c_str());
 }
 
 TEST(KbStoreTest, IndexSectionBitFlipIsRejected) {
-  auto service = KbService::Build(SampleCorpus(), SmallOptions());
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  std::string path = TempPath("idxflip");
-  ASSERT_TRUE((*service)->Save(path).ok());
-  std::string content = ReadAll(path);
+  std::string path = TempPath("v2flip");
+  std::string content;
+  size_t index_start = 0;
+  ASSERT_NO_FATAL_FAILURE(WriteVersion2File(path, &content, &index_start));
 
-  // Dense sweep over the index section only (header + body).
+  // A version-2 file's index section is checked, then dropped: every bit
+  // flip inside it (header and body) is still rejected.
   int flips = 0;
-  for (size_t pos = IndexSectionStart(content); pos < content.size();
-       pos += 7) {
+  for (size_t pos = index_start; pos < content.size(); pos += 3) {
     std::string corrupted = content;
     corrupted[pos] = static_cast<char>(corrupted[pos] ^ (1 << (pos % 8)));
     WriteAll(path, corrupted);
@@ -361,51 +378,19 @@ TEST(KbStoreTest, IndexSectionBitFlipIsRejected) {
 }
 
 TEST(KbStoreTest, IndexSectionTruncationIsRejected) {
-  auto service = KbService::Build(SampleCorpus(), SmallOptions());
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  std::string path = TempPath("idxtrunc");
-  ASSERT_TRUE((*service)->Save(path).ok());
-  std::string content = ReadAll(path);
-  const size_t body = IndexBodyStart(content);
-  for (size_t keep :
-       {body, body + (content.size() - body) / 2, content.size() - 1}) {
+  std::string path = TempPath("v2trunc");
+  std::string content;
+  size_t index_start = 0;
+  ASSERT_NO_FATAL_FAILURE(WriteVersion2File(path, &content, &index_start));
+
+  // Every truncation inside a version-2 file's index section is rejected.
+  for (size_t keep = index_start; keep < content.size(); keep += 5) {
     WriteAll(path, content.substr(0, keep));
     EXPECT_FALSE(LoadKb(path).ok())
         << "file truncated inside the index section at " << keep << " loaded";
   }
-  std::remove(path.c_str());
-}
-
-TEST(KbStoreTest, IndexInconsistentWithCorpusIsRejectedDespiteValidCrc) {
-  auto service = KbService::Build(SampleCorpus(), SmallOptions());
-  ASSERT_TRUE(service.ok()) << service.status().ToString();
-  std::string path = TempPath("idxtamper");
-  ASSERT_TRUE((*service)->Save(path).ok());
-  std::string content = ReadAll(path);
-
-  // An attacker (or a buggy external tool) rewrites column 0's signature
-  // AND fixes the section CRC so the checksum passes. The load-time spot
-  // check against signatures recomputed from the corpus must still refuse.
-  std::string prefix = content.substr(0, IndexSectionStart(content));
-  std::string body = content.substr(IndexBodyStart(content));
-  const size_t line_end = body.find('\n', body.find('\n') + 1);
-  ASSERT_NE(line_end, std::string::npos);
-  size_t last_space = body.rfind(' ', line_end);
-  ASSERT_NE(last_space, std::string::npos);
-  std::string tampered = body.substr(0, last_space + 1) + "deadbeef" +
-                         body.substr(line_end);
-  ASSERT_NE(tampered, body);
-  std::ostringstream out;
-  out << prefix << "section index " << tampered.size() << ' '
-      << Crc32(tampered) << '\n'
-      << tampered;
-  WriteAll(path, out.str());
-
-  auto loaded = LoadKb(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_NE(loaded.status().ToString().find("inconsistent"),
-            std::string::npos)
-      << loaded.status().ToString();
+  WriteAll(path, content.substr(0, content.size() - 1));
+  EXPECT_FALSE(LoadKb(path).ok());
   std::remove(path.c_str());
 }
 
