@@ -7,15 +7,15 @@
 // degree jumps up aggressively (Big), otherwise the GP searches downward for
 // the smallest degree whose conservative estimate (LCB: mean - alpha * std)
 // still sustains the rate (small). Like DS2 it consumes the noisy
-// useful-time metric, and unlike StreamTune it uses no cross-job knowledge.
+// useful-time metric and runs in DS2's RateRuleSession loop; unlike
+// StreamTune it uses no cross-job knowledge.
 
 #pragma once
 
 #include <map>
 #include <vector>
 
-#include "baselines/robust_loop.h"
-#include "baselines/tuner.h"
+#include "baselines/ds2.h"
 #include "ml/gaussian_process.h"
 
 namespace streamtune::baselines {

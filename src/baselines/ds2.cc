@@ -3,37 +3,39 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <utility>
 
 namespace streamtune::baselines {
 
-std::vector<int> Ds2Tuner::Recommend(const sim::StreamEngine& engine,
-                                     const sim::JobMetrics& metrics) const {
-  const JobGraph& g = engine.graph();
-  const int n = g.num_operators();
-  const int p_max = engine.max_parallelism();
-  const std::vector<int>& p_cur = engine.parallelism();
-
-  // Observed selectivities from the rate logs.
-  std::vector<double> sel(n, 1.0);
-  for (int v = 0; v < n; ++v) {
-    const sim::OperatorMetrics& m = metrics.ops[v];
-    sel[v] = m.input_rate > 1e-9 ? m.output_rate / m.input_rate : 1.0;
-  }
-
-  // Propagate target (unthrottled) rates from the sources downstream.
-  auto order = g.TopologicalOrder();
+std::vector<double> TargetInputRates(const JobGraph& graph,
+                                     const sim::JobMetrics& metrics) {
+  const int n = graph.num_operators();
+  auto order = graph.TopologicalOrder();
   assert(order.ok() && "deployed job graphs are acyclic");
   std::vector<double> target_in(n, 0.0), target_out(n, 0.0);
   for (int v : order.value()) {
-    if (g.upstream(v).empty()) {
-      target_in[v] = metrics.ops[v].desired_input_rate;
+    const sim::OperatorMetrics& m = metrics.ops[v];
+    if (graph.upstream(v).empty()) {
+      target_in[v] = m.desired_input_rate;
     } else {
       double in = 0;
-      for (int u : g.upstream(v)) in += target_out[u];
+      for (int u : graph.upstream(v)) in += target_out[u];
       target_in[v] = in;
     }
-    target_out[v] = target_in[v] * sel[v];
+    const double selectivity =
+        m.input_rate > 1e-9 ? m.output_rate / m.input_rate : 1.0;
+    target_out[v] = target_in[v] * selectivity;
   }
+  return target_in;
+}
+
+std::vector<int> Ds2Tuner::Recommend(const sim::StreamEngine& engine,
+                                     const sim::JobMetrics& metrics) const {
+  const int n = engine.graph().num_operators();
+  const int p_max = engine.max_parallelism();
+  const std::vector<int>& p_cur = engine.parallelism();
+  const std::vector<double> target_in =
+      TargetInputRates(engine.graph(), metrics);
 
   std::vector<int> rec(n, 1);
   for (int v = 0; v < n; ++v) {
@@ -55,17 +57,27 @@ std::vector<int> Ds2Tuner::Recommend(const sim::StreamEngine& engine,
   return rec;
 }
 
-Ds2Session::Ds2Session(const Ds2Options& options, sim::StreamEngine* engine)
-    : options_(options),
-      engine_(engine),
-      loop_(engine, options.robustness),
-      reconfig_before_(engine->reconfiguration_count()),
-      minutes_before_(engine->virtual_minutes()) {}
+std::unique_ptr<TuningSession> Ds2Tuner::NewSession(
+    sim::StreamEngine* engine) const {
+  return std::make_unique<RateRuleSession>(
+      [tuner = *this](const sim::StreamEngine& e, const sim::JobMetrics& m) {
+        return tuner.Recommend(e, m);
+      },
+      options_.max_iterations, options_.robustness, engine);
+}
 
-Result<bool> Ds2Session::Step() {
+RateRuleSession::RateRuleSession(RateRule rule, int max_iterations,
+                                 const RobustnessOptions& robustness,
+                                 sim::StreamEngine* engine)
+    : rule_(std::move(rule)),
+      max_iterations_(max_iterations),
+      engine_(engine),
+      loop_(engine, robustness) {}
+
+Result<bool> RateRuleSession::Step() {
   if (done_) return true;
   const int iter = outcome_.iterations;
-  if (iter >= options_.max_iterations) {
+  if (iter >= max_iterations_) {
     done_ = true;
     return true;
   }
@@ -87,7 +99,7 @@ Result<bool> Ds2Session::Step() {
   // attributed to it (Table III semantics).
   if (iter > 0 && metrics.job_backpressure) ++outcome_.backpressure_events;
   if (loop_.MaybeRollback(metrics)) return false;
-  std::vector<int> rec = Ds2Tuner(options_).Recommend(*engine_, metrics);
+  std::vector<int> rec = rule_(*engine_, metrics);
   loop_.ClampStep(&rec);
   if (rec == engine_->parallelism()) {
     done_ = true;
@@ -100,29 +112,17 @@ Result<bool> Ds2Session::Step() {
   return false;
 }
 
-Result<TuningOutcome> Ds2Session::Finish() {
+Result<TuningOutcome> RateRuleSession::Finish() {
   done_ = true;
-  outcome_.final_parallelism = engine_->parallelism();
-  outcome_.total_parallelism = 0;
-  for (int p : outcome_.final_parallelism) outcome_.total_parallelism += p;
-  outcome_.reconfigurations =
-      engine_->reconfiguration_count() - reconfig_before_;
-  outcome_.tuning_minutes = engine_->virtual_minutes() - minutes_before_;
+  // Accounted before the trailing verdict measurement, which is not a
+  // tuning iteration: under faults its retries advance the virtual clock.
+  loop_.Account(&outcome_);
   Result<sim::JobMetrics> final_metrics = loop_.Measure();
   outcome_.ended_with_backpressure = final_metrics.ok()
                                          ? final_metrics->severe_backpressure
                                          : last_severe_;
   loop_.FillOutcome(&outcome_);
   return outcome_;
-}
-
-Result<TuningOutcome> Ds2Tuner::Tune(sim::StreamEngine* engine) {
-  Ds2Session session(options_, engine);
-  while (!session.done()) {
-    ST_ASSIGN_OR_RETURN(bool stopped, session.Step());
-    if (stopped) break;
-  }
-  return session.Finish();
 }
 
 }  // namespace streamtune::baselines

@@ -11,7 +11,9 @@
 
 #pragma once
 
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "baselines/robust_loop.h"
 #include "baselines/tuner.h"
@@ -28,36 +30,40 @@ struct Ds2Options {
   RobustnessOptions robustness;
 };
 
-/// One resumable DS2 tuning process: each Step() performs exactly one
-/// measure -> recommend -> deploy decision, so an event-driven scheduler can
-/// interleave thousands of processes at decision granularity. Driving
-/// Step() to completion and calling Finish() is bit-identical to the
-/// monolithic Ds2Tuner::Tune() (which is now implemented on top of it).
-class Ds2Session {
+/// Target (unthrottled) input rate of every operator: the sources' desired
+/// rates propagated downstream through the observed selectivities.
+std::vector<double> TargetInputRates(const JobGraph& graph,
+                                     const sim::JobMetrics& metrics);
+
+/// A rate rule: given metrics of the current deployment, the recommended
+/// parallelism per operator.
+using RateRule = std::function<std::vector<int>(const sim::StreamEngine&,
+                                                const sim::JobMetrics&)>;
+
+/// The measure -> recommend -> deploy loop that DS2 and ContTune share,
+/// parameterised by the method's rate rule. Each Step() makes one decision;
+/// the process stops on a stable recommendation, an exhausted iteration
+/// budget, or graceful degradation on persistent engine failure. Errors
+/// only propagate for a failed initial measurement on a pristine engine (a
+/// caller error, e.g. never deployed).
+class RateRuleSession : public TuningSession {
  public:
-  Ds2Session(const Ds2Options& options, sim::StreamEngine* engine);
+  RateRuleSession(RateRule rule, int max_iterations,
+                  const RobustnessOptions& robustness,
+                  sim::StreamEngine* engine);
 
-  /// One policy iteration. Returns true when the process stopped (stable
-  /// recommendation, exhausted iteration budget, or graceful degradation on
-  /// persistent engine failure); errors only propagate for a failed initial
-  /// measurement on a pristine engine (a caller error, as before).
-  Result<bool> Step();
+  Result<bool> Step() override;
 
-  /// Final accounting (and the trailing measurement for the backpressure
-  /// verdict). Call once, after the last Step().
-  Result<TuningOutcome> Finish();
-
-  bool done() const { return done_; }
-  int iterations() const { return outcome_.iterations; }
-  sim::StreamEngine* engine() { return engine_; }
+  /// Final accounting plus a trailing measurement for the backpressure
+  /// verdict.
+  Result<TuningOutcome> Finish() override;
 
  private:
-  const Ds2Options options_;
+  const RateRule rule_;
+  const int max_iterations_;
   sim::StreamEngine* engine_;
   RobustLoop loop_;
   TuningOutcome outcome_;
-  int reconfig_before_ = 0;
-  double minutes_before_ = 0;
   bool last_severe_ = false;
   bool done_ = false;
 };
@@ -68,12 +74,12 @@ class Ds2Tuner : public Tuner {
   explicit Ds2Tuner(Ds2Options options = {}) : options_(options) {}
 
   std::string name() const override { return "DS2"; }
-  Result<TuningOutcome> Tune(sim::StreamEngine* engine) override;
-
-  /// Starts a resumable tuning process (see Ds2Session).
-  std::unique_ptr<Ds2Session> NewSession(sim::StreamEngine* engine) const {
-    return std::make_unique<Ds2Session>(options_, engine);
+  Result<TuningOutcome> Tune(sim::StreamEngine* engine) override {
+    return RunToCompletion(NewSession(engine).get());
   }
+
+  /// Starts a resumable DS2 tuning process on `engine` (already deployed).
+  std::unique_ptr<TuningSession> NewSession(sim::StreamEngine* engine) const;
 
   /// One DS2 policy step: given metrics of the current deployment, the new
   /// recommended parallelism per operator. Exposed for unit tests.

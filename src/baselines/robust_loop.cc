@@ -17,6 +17,15 @@ void RobustLoop::ClampStep(std::vector<int>* rec) const {
   }
 }
 
+void RobustLoop::Account(TuningOutcome* outcome) const {
+  outcome->final_parallelism = engine_->parallelism();
+  outcome->total_parallelism = 0;
+  for (int p : outcome->final_parallelism) outcome->total_parallelism += p;
+  outcome->reconfigurations =
+      engine_->reconfiguration_count() - reconfig_before_;
+  outcome->tuning_minutes = engine_->virtual_minutes() - minutes_before_;
+}
+
 bool RobustLoop::MaybeRollback(const sim::JobMetrics& m) {
   // A clean run at least as good as the best seen becomes the new
   // known-good deployment.

@@ -39,11 +39,15 @@ struct RobustnessOptions {
 };
 
 /// Per-tuning-process harness wrapping one engine. Stateful: construct one
-/// per Tune() call.
+/// per tuning process, when the process starts.
 class RobustLoop {
  public:
   RobustLoop(sim::StreamEngine* engine, const RobustnessOptions& options)
-      : engine_(engine), options_(options), sanitizer_(options.sanitizer) {}
+      : engine_(engine),
+        options_(options),
+        sanitizer_(options.sanitizer),
+        reconfig_before_(engine->reconfiguration_count()),
+        minutes_before_(engine->virtual_minutes()) {}
 
   /// Measure with retry + sanitization (see sim::MeasureSanitized).
   Result<sim::JobMetrics> Measure() {
@@ -74,6 +78,10 @@ class RobustLoop {
   /// returns an error: a failed rollback degrades to "keep going".
   bool MaybeRollback(const sim::JobMetrics& m);
 
+  /// Fills the final deployment, its total, and the reconfigurations and
+  /// virtual minutes spent since construction.
+  void Account(TuningOutcome* outcome) const;
+
   /// Copies fault/retry/rollback counters into the outcome.
   void FillOutcome(TuningOutcome* outcome) const {
     outcome->retries = retry_stats_.retries;
@@ -82,16 +90,13 @@ class RobustLoop {
         retry_stats_.retries + sanitizer_.stats().rejected;
   }
 
-  const RetryStats& retry_stats() const { return retry_stats_; }
-  const sim::SanitizerStats& sanitizer_stats() const {
-    return sanitizer_.stats();
-  }
-
  private:
   sim::StreamEngine* engine_;
   RobustnessOptions options_;
   sim::MetricsSanitizer sanitizer_;
   RetryStats retry_stats_;
+  const int reconfig_before_;
+  const double minutes_before_;
   int rollbacks_ = 0;
   std::vector<int> known_good_;
   double known_good_lambda_ = -1.0;

@@ -4,7 +4,9 @@
 // deployment (under possibly changed source rates), it reconfigures the job
 // until its convergence criterion holds, and reports how it went. All four
 // methods (DS2, ContTune, ZeroTune, StreamTune) implement this interface and
-// run unchanged on either simulated engine.
+// run unchanged on either simulated engine. The three iterative methods run
+// their process as a TuningSession, one decision per Step(), so the
+// multi-job control plane can interleave thousands of them.
 
 #pragma once
 
@@ -43,7 +45,37 @@ struct TuningOutcome {
   int retries = 0;
   /// Roll-backs to the last known-good deployment after a regression.
   int rollbacks = 0;
+  /// Iterations decided by the DS2 rate rule because the fine-tuned model
+  /// could not be fitted (StreamTune only). 0 on a healthy process.
+  int model_fallbacks = 0;
 };
+
+/// One resumable tuning process: measure, recommend, redeploy, until the
+/// recommendation is stable. Stepping it until Step() returns true and then
+/// calling Finish() once is one whole process (RunToCompletion).
+class TuningSession {
+ public:
+  TuningSession() = default;
+  virtual ~TuningSession() = default;
+  TuningSession(const TuningSession&) = delete;
+  TuningSession& operator=(const TuningSession&) = delete;
+
+  /// One decision. True when the process stopped (stable recommendation,
+  /// exhausted iteration budget, or graceful degradation on persistent
+  /// engine failure).
+  virtual Result<bool> Step() = 0;
+
+  /// Final accounting. Call once, after the last Step().
+  virtual Result<TuningOutcome> Finish() = 0;
+};
+
+/// Steps `session` until it stops, then finishes it.
+inline Result<TuningOutcome> RunToCompletion(TuningSession* session) {
+  for (;;) {
+    ST_ASSIGN_OR_RETURN(bool stopped, session->Step());
+    if (stopped) return session->Finish();
+  }
+}
 
 /// A parallelism tuning method.
 class Tuner {

@@ -114,8 +114,7 @@ Result<TuningOutcome> ZeroTuneTuner::Tune(sim::StreamEngine* engine) {
   const int p_max = engine->max_parallelism();
 
   TuningOutcome outcome;
-  int reconfig_before = engine->reconfiguration_count();
-  double minutes_before = engine->virtual_minutes();
+  RobustLoop loop(engine, options_.robustness);
 
   // Sample candidates (half of them from the upper half of the range) and
   // score them with the cost model.
@@ -148,7 +147,6 @@ Result<TuningOutcome> ZeroTuneTuner::Tune(sim::StreamEngine* engine) {
       best = cand;
     }
   }
-  RobustLoop loop(engine, options_.robustness);
   Status deploy_status = loop.Deploy(best);
   if (!deploy_status.ok()) {
     // A persistent failure on a fault-free engine is a caller error;
@@ -164,11 +162,7 @@ Result<TuningOutcome> ZeroTuneTuner::Tune(sim::StreamEngine* engine) {
     outcome.ended_with_backpressure = metrics_r->severe_backpressure;
   }
 
-  outcome.final_parallelism = engine->parallelism();
-  for (int p : outcome.final_parallelism) outcome.total_parallelism += p;
-  outcome.reconfigurations =
-      engine->reconfiguration_count() - reconfig_before;
-  outcome.tuning_minutes = engine->virtual_minutes() - minutes_before;
+  loop.Account(&outcome);
   loop.FillOutcome(&outcome);
   return outcome;
 }

@@ -1,34 +1,6 @@
 #include "controlplane/admission.h"
 
-#include <algorithm>
-
 namespace streamtune::controlplane {
-
-TokenBucket::TokenBucket(TokenBucketOptions options)
-    : options_(options),
-      tokens_(options.initial < 0 ? options.capacity
-                                  : std::min(options.initial,
-                                             options.capacity)) {}
-
-void TokenBucket::Refill(double now_minutes) {
-  if (now_minutes <= last_refill_minutes_) return;
-  tokens_ = std::min(options_.capacity,
-                     tokens_ + options_.refill_per_minute *
-                                   (now_minutes - last_refill_minutes_));
-  last_refill_minutes_ = now_minutes;
-}
-
-bool TokenBucket::TryAcquire(double now_minutes, double tokens) {
-  Refill(now_minutes);
-  if (tokens_ < tokens) return false;
-  tokens_ -= tokens;
-  return true;
-}
-
-double TokenBucket::Available(double now_minutes) {
-  Refill(now_minutes);
-  return tokens_;
-}
 
 WatermarkGate::WatermarkGate(WatermarkOptions options) : options_(options) {
   // A degenerate config (low >= high) still behaves sanely: release

@@ -1,12 +1,4 @@
-// Admission control and backpressure primitives for the multi-job control
-// plane.
-//
-// TokenBucket rations the expensive StreamTune fine-tuning path: the fleet
-// admits at most `capacity` concurrent full sessions (plus an optional
-// refill over the virtual clock); the overflow tail is shed to the cheap
-// DS2 rate rule. Acquisition order is the caller's job-id order, so which
-// jobs are shed is a pure function of the fleet composition — chaos cannot
-// move the admission boundary.
+// Backpressure primitive for the multi-job control plane.
 //
 // WatermarkGate is the classic two-threshold hysteresis signal: it engages
 // when the observed depth reaches the high watermark and releases only once
@@ -18,36 +10,6 @@
 #include <cstddef>
 
 namespace streamtune::controlplane {
-
-/// Token-bucket knobs. Tokens refill against the fleet's virtual clock.
-struct TokenBucketOptions {
-  /// Maximum tokens the bucket holds (and the default initial fill).
-  double capacity = 256;
-  /// Tokens restored per virtual minute (0 = a pure one-shot admission cap).
-  double refill_per_minute = 0;
-  /// Initial fill; negative means "start full".
-  double initial = -1;
-};
-
-/// Deterministic token bucket over a virtual clock.
-class TokenBucket {
- public:
-  explicit TokenBucket(TokenBucketOptions options);
-
-  /// Refills for the elapsed virtual time, then takes `tokens` if
-  /// available. `now_minutes` must be non-decreasing across calls.
-  bool TryAcquire(double now_minutes, double tokens = 1.0);
-
-  /// Tokens available after refilling to `now_minutes`.
-  double Available(double now_minutes);
-
- private:
-  void Refill(double now_minutes);
-
-  TokenBucketOptions options_;
-  double tokens_;
-  double last_refill_minutes_ = 0;
-};
 
 /// High/low watermark pair for a WatermarkGate.
 struct WatermarkOptions {

@@ -7,14 +7,24 @@
 
 namespace streamtune::controlplane {
 
+namespace {
+
+/// Scheduler resolution: decisions due within one tick form one wave.
+constexpr double kTickMinutes = 1.0;
+/// Deterministic start stagger: job `id` first runs at tick
+/// id % kStaggerSlots, so fleet-sized waves do not all arrive at once.
+constexpr int kStaggerSlots = 16;
+/// Extra pacing added to every reschedule while backpressure is engaged.
+constexpr double kBackpressurePenaltyMinutes = 60.0;
+
+}  // namespace
+
 ControlPlane::ControlPlane(kb::KbService* kb, ControlPlaneOptions options)
     : kb_(kb),
       snapshot_(kb ? kb->Snapshot() : nullptr),
       options_(std::move(options)),
       pool_(options_.num_threads),
-      wheel_(options_.tick_minutes, options_.timer_shards,
-             options_.wheel_ticks),
-      full_bucket_(options_.full_admission),
+      queue_(kTickMinutes),
       gate_(options_.backpressure) {}
 
 ControlPlane::~ControlPlane() = default;
@@ -38,16 +48,15 @@ Status ControlPlane::AddJob(std::int64_t id, sim::StreamEngine* engine) {
   // faults, so a chaos storm cannot move the shed boundary.
   std::unique_ptr<core::StreamTuneTuner> tuner;
   if (snapshot_ != nullptr &&
-      full_bucket_.TryAcquire(wheel_.now_minutes())) {
+      full_sessions_ < options_.full_admission.capacity) {
+    ++full_sessions_;
     tuner = snapshot_->NewTuner(engine->graph().name(), options_.streamtune);
   }
   auto session = std::make_unique<JobTuningSession>(
       id, engine, std::move(tuner), options_.ds2, options_.fault);
   jobs_.emplace(id, std::move(session));
 
-  // Deterministic start stagger spreads the first wave across ticks.
-  const int slots = std::max(1, options_.stagger_slots);
-  wheel_.Schedule(id, static_cast<double>(id % slots) * options_.tick_minutes);
+  queue_.Schedule(id, static_cast<double>(id % kStaggerSlots) * kTickMinutes);
   return Status::OK();
 }
 
@@ -115,9 +124,9 @@ Result<ControlPlaneReport> ControlPlane::Run() {
   const bool timed = static_cast<bool>(options_.wall_clock);
   const double t0 = timed ? options_.wall_clock() : 0;
 
-  while (wheel_.size() > 0) {
+  while (queue_.size() > 0) {
     if (report.rounds >= options_.max_rounds) {
-      // Fleet watchdog: whatever still holds a wheel slot at the cap is
+      // Fleet watchdog: whatever is still scheduled at the cap is
       // force-quarantined; Run() must terminate even if every job wedged.
       for (auto& [id, job] : jobs_) {
         if (job->state() == JobState::kRunning) {
@@ -129,7 +138,7 @@ Result<ControlPlaneReport> ControlPlane::Run() {
     }
     ++report.rounds;
 
-    const std::vector<std::int64_t> due = wheel_.PopDueBatch();
+    const std::vector<std::int64_t> due = queue_.PopDueBatch();
     if (due.empty()) continue;
     report.max_round_batch = std::max(report.max_round_batch, due.size());
 
@@ -161,8 +170,8 @@ Result<ControlPlaneReport> ControlPlane::Run() {
         // delays the next decision, it never changes its content.
         double next = job->engine()->virtual_minutes() +
                       options_.decision_period_minutes;
-        if (gate_.engaged()) next += options_.backpressure_penalty_minutes;
-        wheel_.Schedule(job->id(), next);
+        if (gate_.engaged()) next += kBackpressurePenaltyMinutes;
+        queue_.Schedule(job->id(), next);
       } else if (job->state() == JobState::kConverged &&
                  job->mode() == JobMode::kFull && kb_ != nullptr) {
         EnqueueAdmission(job);

@@ -6,12 +6,13 @@
 //   - every job is a JobTuningSession (resumable tuning process behind a
 //     circuit breaker and deadline budgets), paced by its OWN virtual
 //     clock: the next decision is scheduled at the job's virtual-minute
-//     position plus a fixed period, merged fleet-wide by a sharded
-//     TimerWheel. Faulty jobs burn virtual time on retries and naturally
-//     fall behind the healthy fleet;
-//   - admission control: a TokenBucket rations the expensive StreamTune
-//     path; overflow jobs are shed to the DS2 rate rule in AddJob order, so
-//     the shed set is a pure function of the fleet composition;
+//     position plus a fixed period, merged fleet-wide by one TimerQueue.
+//     Faulty jobs burn virtual time on retries and naturally fall behind
+//     the healthy fleet;
+//   - admission control: the first `full_admission.capacity` jobs in
+//     AddJob order run the expensive StreamTune path; the rest are shed to
+//     the DS2 rate rule, so the shed set is a pure function of the fleet
+//     composition;
 //   - backpressure: converged sessions enqueue KB admissions into a
 //     bounded queue drained in batches after each round; a WatermarkGate
 //     over (queue depth + KbService writer queue) slows every job's
@@ -38,34 +39,29 @@
 #include <vector>
 
 #include "common/thread_pool.h"
-#include "common/timer_wheel.h"
+#include "common/timer_queue.h"
 #include "controlplane/admission.h"
 #include "controlplane/tuning_session.h"
 #include "kb/kb_service.h"
 
 namespace streamtune::controlplane {
 
+/// Admission control for the full StreamTune path.
+struct AdmissionOptions {
+  /// Jobs admitted to the full path, in AddJob order; the rest are shed to
+  /// DS2.
+  int capacity = 256;
+};
+
 /// Scheduler and robustness knobs.
 struct ControlPlaneOptions {
   /// Worker threads for each decision wave (<= 0: hardware concurrency).
   int num_threads = 0;
 
-  /// Timer-wheel geometry (fleet-merged virtual minutes).
-  double tick_minutes = 1.0;
-  int timer_shards = 8;
-  int wheel_ticks = 1024;
-
-  /// Admission control for the full StreamTune path; overflow is shed to
-  /// DS2. Capacity is the concurrent full-session budget.
-  TokenBucketOptions full_admission;
+  AdmissionOptions full_admission;
 
   /// Virtual minutes between one job's decisions.
   double decision_period_minutes = 30.0;
-  /// Deterministic start stagger: job `i` starts at
-  /// (i % stagger_slots) * tick_minutes.
-  int stagger_slots = 16;
-  /// Extra pacing added to every reschedule while backpressure is engaged.
-  double backpressure_penalty_minutes = 60.0;
 
   /// Bounded KB admission queue (drop-oldest beyond capacity).
   std::size_t kb_queue_capacity = 4096;
@@ -177,8 +173,8 @@ class ControlPlane {
   std::shared_ptr<const kb::KbSnapshot> snapshot_;
   ControlPlaneOptions options_;
   ThreadPool pool_;
-  TimerWheel wheel_;
-  TokenBucket full_bucket_;
+  TimerQueue queue_;
+  int full_sessions_ = 0;  ///< jobs admitted to the full path
   WatermarkGate gate_;
 
   std::map<std::int64_t, std::unique_ptr<JobTuningSession>> jobs_;

@@ -39,24 +39,17 @@ JobTuningSession::JobTuningSession(std::int64_t id, sim::StreamEngine* engine,
 JobTuningSession::~JobTuningSession() = default;
 
 Result<bool> JobTuningSession::StepOnce() {
-  if (mode_ == JobMode::kFull) {
-    if (full_ == nullptr) {
+  if (session_ == nullptr) {
+    if (mode_ == JobMode::kFull) {
       // Session creation performs the initial measurement and can fail
       // under faults; a failure feeds the breaker and is retried on the
       // next admitted decision.
-      ST_ASSIGN_OR_RETURN(full_, tuner_->NewSession(engine_));
+      ST_ASSIGN_OR_RETURN(session_, tuner_->NewSession(engine_));
+    } else {
+      session_ = baselines::Ds2Tuner(ds2_).NewSession(engine_);
     }
-    return full_->Step();
   }
-  if (shed_ == nullptr) {
-    shed_ = std::make_unique<baselines::Ds2Session>(ds2_, engine_);
-  }
-  return shed_->Step();
-}
-
-Result<baselines::TuningOutcome> JobTuningSession::FinishSession() {
-  if (mode_ == JobMode::kFull) return full_->Finish();
-  return shed_->Finish();
+  return session_->Step();
 }
 
 void JobTuningSession::FoldTrajectory() {
@@ -74,7 +67,6 @@ JobState JobTuningSession::RunDecision() {
 
   const double before_minutes = engine_->virtual_minutes();
   if (!breaker_.AllowRequest(before_minutes)) {
-    ++breaker_skips_;
     // The job idles while the breaker cools. Its virtual clock only
     // advances through its own engine, so charge the remaining cooldown
     // here — otherwise an open breaker would never reach half-open (the
@@ -109,7 +101,7 @@ JobState JobTuningSession::RunDecision() {
   }
 
   if (*stepped) {
-    Result<baselines::TuningOutcome> out = FinishSession();
+    Result<baselines::TuningOutcome> out = session_->Finish();
     if (out.ok()) {
       outcome_ = *out;
       has_outcome_ = true;

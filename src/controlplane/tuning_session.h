@@ -1,8 +1,8 @@
 // Per-job fault containment for the multi-job control plane.
 //
-// One JobTuningSession wraps one job's resumable tuning process (a
-// StreamTuneTuner::Session in full mode, a Ds2Session when the job was shed
-// by admission control) behind a fault-containment boundary:
+// One JobTuningSession wraps one job's resumable tuning process (StreamTune's
+// session in full mode, DS2's when the job was shed by admission control)
+// behind a fault-containment boundary:
 //
 //   - a three-state circuit breaker (closed / open / half-open) around each
 //     decision, driven by the job's OWN virtual clock, so a job whose
@@ -93,8 +93,6 @@ class JobTuningSession {
 
   /// Decisions actually executed (breaker skips excluded).
   int decisions() const { return decisions_; }
-  /// Rounds the breaker refused to admit a decision.
-  int breaker_skips() const { return breaker_skips_; }
   int deadline_strikes() const { return deadline_strikes_; }
   const CircuitBreaker& breaker() const { return breaker_; }
 
@@ -108,9 +106,8 @@ class JobTuningSession {
   }
 
  private:
-  /// Lazily creates the underlying session and advances it one step.
+  /// Lazily creates the mode's session and advances it one step.
   Result<bool> StepOnce();
-  Result<baselines::TuningOutcome> FinishSession();
   void FoldTrajectory();
 
   const std::int64_t id_;
@@ -120,13 +117,11 @@ class JobTuningSession {
   const JobFaultOptions fault_;
   const JobMode mode_;
 
-  std::unique_ptr<core::StreamTuneTuner::Session> full_;
-  std::unique_ptr<baselines::Ds2Session> shed_;
+  std::unique_ptr<baselines::TuningSession> session_;
 
   JobState state_ = JobState::kRunning;
   CircuitBreaker breaker_;
   int decisions_ = 0;
-  int breaker_skips_ = 0;
   int deadline_strikes_ = 0;
   std::uint64_t trajectory_hash_ = 14695981039346656037ull;  // FNV offset
   baselines::TuningOutcome outcome_;

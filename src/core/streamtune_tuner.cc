@@ -97,9 +97,7 @@ StreamTuneTuner::Session::Session(StreamTuneTuner* tuner,
                                   sim::StreamEngine* engine)
     : tuner_(tuner),
       engine_(engine),
-      loop_(engine, tuner->options_.robustness),
-      reconfig_before_(engine->reconfiguration_count()),
-      minutes_before_(engine->virtual_minutes()) {}
+      loop_(engine, tuner->options_.robustness) {}
 
 Status StreamTuneTuner::Session::Init() {
   cluster_ = tuner_->bundle_->AssignCluster(engine_->graph());
@@ -172,6 +170,7 @@ Result<bool> StreamTuneTuner::Session::Step() {
     rec = engine->parallelism();
   } else {
     rec = baselines::Ds2Tuner().Recommend(*engine, last_metrics_);
+    ++outcome_.model_fallbacks;
   }
 
   // Progress guard: an operator that was just observed to be a bottleneck
@@ -335,12 +334,7 @@ Result<baselines::TuningOutcome> StreamTuneTuner::Session::Finish() {
     ++outcome_.rollbacks;
   }
 
-  outcome_.final_parallelism = engine_->parallelism();
-  outcome_.total_parallelism = 0;
-  for (int p : outcome_.final_parallelism) outcome_.total_parallelism += p;
-  outcome_.reconfigurations =
-      engine_->reconfiguration_count() - reconfig_before_;
-  outcome_.tuning_minutes = engine_->virtual_minutes() - minutes_before_;
+  loop_.Account(&outcome_);
   outcome_.ended_with_backpressure = last_severe_;
   loop_.FillOutcome(&outcome_);
   return outcome_;
@@ -356,11 +350,7 @@ Result<std::unique_ptr<StreamTuneTuner::Session>> StreamTuneTuner::NewSession(
 Result<baselines::TuningOutcome> StreamTuneTuner::Tune(
     sim::StreamEngine* engine) {
   ST_ASSIGN_OR_RETURN(std::unique_ptr<Session> session, NewSession(engine));
-  while (!session->done()) {
-    ST_ASSIGN_OR_RETURN(bool stopped, session->Step());
-    if (stopped) break;
-  }
-  return session->Finish();
+  return baselines::RunToCompletion(session.get());
 }
 
 }  // namespace streamtune::core

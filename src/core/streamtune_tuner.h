@@ -62,24 +62,19 @@ class StreamTuneTuner : public baselines::Tuner {
   Result<baselines::TuningOutcome> Tune(sim::StreamEngine* engine) override;
 
   /// One resumable Algorithm-2 tuning process at decision granularity (see
-  /// NewSession). Stepping a session to completion and calling Finish() is
-  /// bit-identical to Tune(), which is implemented on top of it; the split
-  /// exists so the multi-job control plane can interleave thousands of
-  /// processes over one thread pool, one decision at a time.
-  class Session {
+  /// NewSession). Tune() runs one to completion.
+  class Session : public baselines::TuningSession {
    public:
     /// One fit -> recommend -> deploy -> measure -> fold iteration. True
     /// when the stop rule fired (stable recommendation, iteration budget,
     /// or graceful degradation on persistent engine failure).
-    Result<bool> Step();
+    Result<bool> Step() override;
 
     /// Finalization: reverts a failed scale-down probe to the last clean
     /// deployment and fills the outcome. Call once, after the last Step().
-    Result<baselines::TuningOutcome> Finish();
+    Result<baselines::TuningOutcome> Finish() override;
 
     bool done() const { return done_; }
-    int iterations() const { return outcome_.iterations; }
-    sim::StreamEngine* engine() { return engine_; }
 
    private:
     friend class StreamTuneTuner;
@@ -92,8 +87,6 @@ class StreamTuneTuner : public baselines::Tuner {
     sim::StreamEngine* engine_;
     baselines::RobustLoop loop_;
     baselines::TuningOutcome outcome_;
-    int reconfig_before_ = 0;
-    double minutes_before_ = 0;
     int cluster_ = 0;
     int emb_dim_ = 0;
     std::vector<ml::LabeledSample> dataset_;

@@ -6,7 +6,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/table_printer.h"
-#include "common/timer_wheel.h"
+#include "common/timer_queue.h"
 
 namespace streamtune {
 namespace {
@@ -224,54 +224,54 @@ TEST(RetryTest, ResultFlavorReturnsValue) {
   EXPECT_EQ(stats.retries, 1);
 }
 
-TEST(TimerWheelTest, PopsBatchesInTimeOrderSortedById) {
-  TimerWheel wheel(0.5, 4);
-  wheel.Schedule(7, 10.0);
-  wheel.Schedule(3, 10.0);
-  wheel.Schedule(11, 10.2);  // same 0.5-minute tick as 10.0
-  wheel.Schedule(5, 4.0);
-  EXPECT_EQ(wheel.size(), 4u);
+TEST(TimerQueueTest, PopsBatchesInTimeOrderSortedById) {
+  TimerQueue queue(0.5);
+  queue.Schedule(7, 10.0);
+  queue.Schedule(3, 10.0);
+  queue.Schedule(11, 10.2);  // same 0.5-minute tick as 10.0
+  queue.Schedule(5, 4.0);
+  EXPECT_EQ(queue.size(), 4u);
 
-  std::vector<int64_t> first = wheel.PopDueBatch();
+  std::vector<int64_t> first = queue.PopDueBatch();
   EXPECT_EQ(first, (std::vector<int64_t>{5}));
-  EXPECT_DOUBLE_EQ(wheel.now_minutes(), 4.0);
+  EXPECT_DOUBLE_EQ(queue.now_minutes(), 4.0);
 
-  std::vector<int64_t> second = wheel.PopDueBatch();
+  std::vector<int64_t> second = queue.PopDueBatch();
   EXPECT_EQ(second, (std::vector<int64_t>{3, 7, 11}));
-  EXPECT_DOUBLE_EQ(wheel.now_minutes(), 10.0);
+  EXPECT_DOUBLE_EQ(queue.now_minutes(), 10.0);
 
-  EXPECT_TRUE(wheel.PopDueBatch().empty());
-  EXPECT_EQ(wheel.size(), 0u);
+  EXPECT_TRUE(queue.PopDueBatch().empty());
+  EXPECT_EQ(queue.size(), 0u);
 }
 
-TEST(TimerWheelTest, PastDueLandsInNextTickNeverBackwards) {
-  TimerWheel wheel(1.0, 2);
-  wheel.Schedule(1, 5.0);
-  (void)wheel.PopDueBatch();
-  EXPECT_DOUBLE_EQ(wheel.now_minutes(), 5.0);
-  wheel.Schedule(2, 3.0);  // in the past: fires at the next tick instead
-  std::vector<int64_t> due = wheel.PopDueBatch();
+TEST(TimerQueueTest, PastDueLandsInNextTickNeverBackwards) {
+  TimerQueue queue(1.0);
+  queue.Schedule(1, 5.0);
+  (void)queue.PopDueBatch();
+  EXPECT_DOUBLE_EQ(queue.now_minutes(), 5.0);
+  queue.Schedule(2, 3.0);  // in the past: fires at the next tick instead
+  std::vector<int64_t> due = queue.PopDueBatch();
   EXPECT_EQ(due, (std::vector<int64_t>{2}));
-  EXPECT_DOUBLE_EQ(wheel.now_minutes(), 6.0);
+  EXPECT_DOUBLE_EQ(queue.now_minutes(), 6.0);
 }
 
-TEST(TimerWheelTest, OverflowBeyondOneRevolutionCascadesIn) {
-  TimerWheel wheel(1.0, 2, /*wheel_ticks=*/8);
-  wheel.Schedule(1, 3.0);
-  wheel.Schedule(2, 100.0);   // far beyond the 8-tick near wheel
-  wheel.Schedule(3, 5000.0);  // far beyond even that
-  EXPECT_EQ(wheel.size(), 3u);
-  EXPECT_EQ(wheel.PopDueBatch(), (std::vector<int64_t>{1}));
-  EXPECT_EQ(wheel.PopDueBatch(), (std::vector<int64_t>{2}));
-  EXPECT_DOUBLE_EQ(wheel.now_minutes(), 100.0);
-  EXPECT_EQ(wheel.PopDueBatch(), (std::vector<int64_t>{3}));
-  EXPECT_DOUBLE_EQ(wheel.now_minutes(), 5000.0);
+TEST(TimerQueueTest, FarFutureEventsPopInOrder) {
+  TimerQueue queue(1.0);
+  queue.Schedule(3, 5000.0);
+  queue.Schedule(2, 100.0);
+  queue.Schedule(1, 3.0);
+  EXPECT_EQ(queue.size(), 3u);
+  EXPECT_EQ(queue.PopDueBatch(), (std::vector<int64_t>{1}));
+  EXPECT_EQ(queue.PopDueBatch(), (std::vector<int64_t>{2}));
+  EXPECT_DOUBLE_EQ(queue.now_minutes(), 100.0);
+  EXPECT_EQ(queue.PopDueBatch(), (std::vector<int64_t>{3}));
+  EXPECT_DOUBLE_EQ(queue.now_minutes(), 5000.0);
 }
 
-TEST(TimerWheelTest, BatchOrderIndependentOfInsertionAndShardLayout) {
-  // Two wheels with different shard counts and reversed insertion order
-  // must pop identical batches: determinism cannot leak scheduling detail.
-  TimerWheel a(0.5, 1), b(0.5, 16);
+TEST(TimerQueueTest, BatchOrderIndependentOfInsertionOrder) {
+  // Reversed insertion order must pop identical batches: determinism
+  // cannot leak scheduling detail.
+  TimerQueue a(0.5), b(0.5);
   for (int64_t id = 0; id < 100; ++id) a.Schedule(id, 7.0 + (id % 3));
   for (int64_t id = 99; id >= 0; --id) b.Schedule(id, 7.0 + (id % 3));
   for (;;) {

@@ -1,8 +1,9 @@
-// Tests for the multi-job tuning control plane: admission primitives,
-// scheduler edge cases (zero-job fleet, single job, all-quarantined),
-// backpressure engage/release, the chaos-storm determinism contract
-// (healthy jobs bit-identical to a chaos-free run), and a 10k-job
-// concurrent smoke that doubles as the TSan target.
+// Tests for the multi-job tuning control plane: the watermark gate,
+// admission order, scheduler edge cases (zero-job fleet, single job,
+// all-quarantined, the round-cap watchdog), backpressure engage/release,
+// pinned shed-fleet trajectories under a chaos storm, the chaos-storm
+// determinism contract (healthy jobs bit-identical to a chaos-free run),
+// and a 10k-job concurrent smoke that doubles as the TSan target.
 
 #include <gtest/gtest.h>
 
@@ -104,19 +105,6 @@ ControlPlaneOptions FastOptions() {
   opts.streamtune.max_iterations = 8;
   opts.streamtune.warmup_records = 40;
   return opts;
-}
-
-TEST(AdmissionTest, TokenBucketCapsAndRefills) {
-  TokenBucketOptions o;
-  o.capacity = 2;
-  o.refill_per_minute = 0.5;
-  TokenBucket bucket(o);
-  EXPECT_TRUE(bucket.TryAcquire(0));
-  EXPECT_TRUE(bucket.TryAcquire(0));
-  EXPECT_FALSE(bucket.TryAcquire(0));  // drained, no time passed
-  EXPECT_TRUE(bucket.TryAcquire(2.0));  // 1 token refilled
-  EXPECT_NEAR(bucket.Available(2.0), 0.0, 1e-12);
-  EXPECT_NEAR(bucket.Available(100.0), 2.0, 1e-12);  // capped at capacity
 }
 
 TEST(AdmissionTest, WatermarkGateHasHysteresis) {
@@ -301,6 +289,64 @@ TEST(ControlPlaneTest, HealthyJobsBitIdenticalUnderChaosStorm) {
       EXPECT_EQ(with_chaos[i].state, JobState::kConverged) << "job " << i;
     }
   }
+}
+
+TEST(ControlPlaneTest, ShedFleetUnderStormMatchesPinnedTrajectories) {
+  // Pins every decision of a shed fleet under a 30% chaos storm: the DS2
+  // session, the scheduler's rounds and the containment path. Without a KB
+  // no model or SIMD kernel runs, so the value is the same on every host
+  // and under STREAMTUNE_FORCE_SCALAR.
+  constexpr int kJobs = 48;
+  sim::FleetFaultPlan storm;
+  storm.master_seed = 0xF1EE7;
+  storm.fault_fraction = 0.3;
+  ControlPlane plane(nullptr, FastOptions());
+  Fleet fleet = MakeFleet(kJobs, &storm);
+  for (int i = 0; i < kJobs; ++i) {
+    ASSERT_TRUE(plane.AddJob(i, fleet.engine(i)).ok());
+  }
+  auto report = plane.Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+
+  std::uint64_t hash = 14695981039346656037ull;  // FNV-1a offset
+  auto fold = [&hash](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash ^= (v >> (8 * i)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  for (const JobReport& jr : report->job_reports) {
+    fold(static_cast<std::uint64_t>(jr.id));
+    fold(static_cast<std::uint64_t>(jr.state));
+    fold(static_cast<std::uint64_t>(jr.decisions));
+    fold(jr.trajectory_hash);
+  }
+  EXPECT_EQ(report->shed_jobs, kJobs);
+  EXPECT_EQ(report->rounds, 29);
+  EXPECT_EQ(report->decisions, 243);
+  EXPECT_EQ(hash, 0x6f1a9b9f2bb0ca3eull) << std::hex << hash;
+}
+
+TEST(ControlPlaneTest, WatchdogQuarantinesAtRoundCap) {
+  // The round cap is the termination guarantee of last resort: whatever is
+  // still running when it is hit is quarantined, and Run() returns.
+  constexpr int kJobs = 6;
+  ControlPlaneOptions opts = FastOptions();
+  opts.max_rounds = 2;
+  ControlPlane plane(nullptr, opts);
+  Fleet fleet = MakeFleet(kJobs, nullptr);
+  for (int i = 0; i < kJobs; ++i) {
+    ASSERT_TRUE(plane.AddJob(i, fleet.engine(i)).ok());
+  }
+  auto report = plane.Run();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->rounds, 2);
+  EXPECT_GT(report->watchdog_terminations, 0);
+  EXPECT_EQ(report->watchdog_terminations, report->quarantined);
+  for (const JobReport& jr : report->job_reports) {
+    EXPECT_NE(jr.state, JobState::kRunning) << "job " << jr.id;
+  }
+  EXPECT_EQ(report->converged + report->quarantined + report->failed, kJobs);
 }
 
 TEST(ControlPlaneTest, TenThousandJobConcurrentSmoke) {

@@ -61,6 +61,7 @@ TEST_F(StreamTuneTest, EliminatesBackpressureOnUnseenJob) {
   StreamTuneTuner tuner(bundle_);
   auto outcome = tuner.Tune(&engine);
   ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(outcome->model_fallbacks, 0);  // M_f decided every iteration
   auto m = engine.Measure();
   ASSERT_TRUE(m.ok());
   EXPECT_FALSE(m->severe_backpressure);
@@ -205,6 +206,8 @@ TEST_F(StreamTuneTest, NanSeedFeedbackFallsBackToDs2) {
     auto outcome = tuner.Tune(&engine);
     ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
     EXPECT_GE(outcome->iterations, 1);
+    // Every fit fails, so the DS2 rule decides every iteration.
+    EXPECT_EQ(outcome->model_fallbacks, outcome->iterations);
     outcomes.push_back(*outcome);
   }
   EXPECT_EQ(outcomes[0].final_parallelism, outcomes[1].final_parallelism);
