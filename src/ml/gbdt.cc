@@ -72,8 +72,11 @@ int MonotonicGbdt::BuildNode(Tree* tree,
 
   std::vector<int> sorted = indices;
   for (int f = 0; f < num_features; ++f) {
-    std::sort(sorted.begin(), sorted.end(),
-              [&](int a, int b) { return x[a][f] < x[b][f]; });
+    // Ties break by row id, so the gradient sums below add up in one
+    // canonical order whatever order `sorted` arrives in.
+    std::sort(sorted.begin(), sorted.end(), [&](int a, int b) {
+      return x[a][f] < x[b][f] || (x[a][f] == x[b][f] && a < b);
+    });
     double gl = 0, hl = 0;
     for (size_t k = 0; k + 1 < sorted.size(); ++k) {
       int i = sorted[k];
