@@ -1,6 +1,7 @@
 #include "core/serialization.h"
 
 #include <cctype>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -269,6 +270,28 @@ Status ValidateGraphNames(const JobGraph& graph) {
   return Status::OK();
 }
 
+namespace {
+
+// The values a history record may hold: ReadHistoryRecord rejects any
+// other, and the writers refuse them before writing anything.
+Status ValidateHistoryRecord(const HistoryRecord& rec) {
+  ST_RETURN_NOT_OK(ValidateGraphNames(rec.graph));
+  for (int p : rec.parallelism) {
+    if (p < 1) return Status::InvalidArgument("parallelism must be >= 1");
+  }
+  for (double r : rec.source_rates) {
+    if (!std::isfinite(r) || r < 0) {
+      return Status::InvalidArgument("source rate must be finite and >= 0");
+    }
+  }
+  if (!std::isfinite(rec.job_cost)) {
+    return Status::InvalidArgument("job cost must be finite");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 void WriteHistoryRecord(std::ostream& os, const HistoryRecord& rec) {
   WriteJobGraph(os, rec.graph);
   os << "parallelism";
@@ -289,6 +312,10 @@ Result<HistoryRecord> ReadHistoryRecord(std::istream& is) {
   ST_RETURN_NOT_OK(ExpectToken(is, "parallelism").status());
   for (int i = 0; i < n; ++i) {
     ST_ASSIGN_OR_RETURN(long long p, IntToken(is));
+    // Checked before the cast; ValidateHistoryRecord checks the rest.
+    if (p < 1 || p > INT_MAX) {
+      return Status::InvalidArgument("parallelism must be in [1, INT_MAX]");
+    }
     rec.parallelism.push_back(static_cast<int>(p));
   }
   ST_RETURN_NOT_OK(ExpectToken(is, "rates").status());
@@ -307,13 +334,14 @@ Result<HistoryRecord> ReadHistoryRecord(std::istream& is) {
   ST_RETURN_NOT_OK(ExpectToken(is, "backpressure").status());
   ST_ASSIGN_OR_RETURN(long long bp, IntToken(is));
   rec.backpressure = bp != 0;
+  ST_RETURN_NOT_OK(ValidateHistoryRecord(rec));
   return rec;
 }
 
 Status SaveHistory(const std::vector<HistoryRecord>& records,
                    const std::string& path) {
   for (const HistoryRecord& rec : records) {
-    ST_RETURN_NOT_OK(ValidateGraphNames(rec.graph));
+    ST_RETURN_NOT_OK(ValidateHistoryRecord(rec));
   }
   CheckedFileWriter writer(path);
   std::ostream& os = writer.stream();
@@ -347,7 +375,7 @@ Result<std::vector<HistoryRecord>> LoadHistory(const std::string& path) {
 
 Status WriteBundleBody(std::ostream& os, const PretrainedBundle& bundle) {
   for (const HistoryRecord& rec : bundle.records()) {
-    ST_RETURN_NOT_OK(ValidateGraphNames(rec.graph));
+    ST_RETURN_NOT_OK(ValidateHistoryRecord(rec));
   }
   os << "clusters " << bundle.num_clusters() << '\n';
   for (int c = 0; c < bundle.num_clusters(); ++c) {

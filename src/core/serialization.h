@@ -79,10 +79,13 @@ Status ValidateGraphNames(const JobGraph& graph);
 /// Writes one history record block (graph + parallelism + rates + labels +
 /// cost) to `os`.
 void WriteHistoryRecord(std::ostream& os, const HistoryRecord& rec);
-/// Reads one history record block from `is`.
+/// Reads one history record block from `is`. Rejects parallelism outside
+/// [1, INT_MAX], rates that are negative or not finite, and a non-finite
+/// cost.
 Result<HistoryRecord> ReadHistoryRecord(std::istream& is);
 
-/// Saves history records to `path` (atomic temp-file + rename).
+/// Saves history records to `path` (atomic temp-file + rename). Refuses,
+/// before writing anything, a record that ReadHistoryRecord would reject.
 [[nodiscard]] Status SaveHistory(const std::vector<HistoryRecord>& records,
                    const std::string& path);
 /// Loads history records from `path`.

@@ -14,6 +14,30 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 }
 
+// Everything one Fit works on. It lives on Fit's stack, so concurrent fits
+// of different models share nothing.
+struct MonotonicGbdt::FitState {
+  int n = 0;
+  int num_features = 0;
+  // Feature-major block: x[f * n + i] is feature f of row i.
+  std::vector<double> x;
+  // num_features + 1 lists of n row ids each. List f < num_features is
+  // sorted by (x[f * n + i], i); the last list holds the row ids in
+  // ascending order. `presorted` is the root state; `order` is the working
+  // copy, reset to it for each tree. A node owns the same [begin, end)
+  // range of every working list.
+  std::vector<int> presorted;
+  std::vector<int> order;
+  std::vector<double> grad, hess, margin;
+  std::vector<char> goes_left;  // per row: the side of the split applied
+  std::vector<int> spill;       // right-side rows while partitioning a list
+
+  const int* list(int f) const { return order.data() + size_t(f) * n; }
+  int* list(int f) { return order.data() + size_t(f) * n; }
+  const double* column(int f) const { return x.data() + size_t(f) * n; }
+  double* column(int f) { return x.data() + size_t(f) * n; }
+};
+
 MonotonicGbdt::MonotonicGbdt(int embedding_dim, GbdtConfig config)
     : embedding_dim_(embedding_dim), config_(config) {
   assert(embedding_dim > 0);
@@ -35,16 +59,14 @@ double MonotonicGbdt::Tree::Predict(const std::vector<double>& x) const {
   return nodes[node].value;
 }
 
-int MonotonicGbdt::BuildNode(Tree* tree,
-                             const std::vector<std::vector<double>>& x,
-                             const std::vector<double>& grad,
-                             const std::vector<double>& hess,
-                             const std::vector<int>& indices, int depth,
-                             double lower, double upper) {
+int MonotonicGbdt::BuildNode(Tree* tree, FitState* s, int begin, int end,
+                             int depth, double lower, double upper) {
+  const int num_features = s->num_features;
+  const int* rows = s->list(num_features);
   double g_total = 0, h_total = 0;
-  for (int i : indices) {
-    g_total += grad[i];
-    h_total += hess[i];
+  for (int k = begin; k < end; ++k) {
+    g_total += s->grad[rows[k]];
+    h_total += s->hess[rows[k]];
   }
   const double lam = config_.reg_lambda;
   auto leaf_value = [&](double g, double h, double lo, double hi) {
@@ -53,15 +75,21 @@ int MonotonicGbdt::BuildNode(Tree* tree,
 
   int node_id = static_cast<int>(tree->nodes.size());
   tree->nodes.emplace_back();
-  tree->nodes[node_id].value =
+  const double value =
       config_.learning_rate * leaf_value(g_total, h_total, lower, upper);
-
-  if (depth >= config_.max_depth ||
-      static_cast<int>(indices.size()) < 2 * config_.min_samples_leaf) {
+  tree->nodes[node_id].value = value;
+  auto make_leaf = [&] {
+    for (int k = begin; k < end; ++k) s->margin[rows[k]] += value;
     return node_id;
+  };
+
+  const int count = end - begin;
+  // A split needs two rows, and min_samples_leaf of them on each side.
+  if (depth >= config_.max_depth || count < 2 ||
+      count < 2 * config_.min_samples_leaf) {
+    return make_leaf();
   }
 
-  const int num_features = static_cast<int>(x[0].size());
   const int p_feature = num_features - 1;  // constrained feature
 
   double parent_score = g_total * g_total / (h_total + lam);
@@ -70,26 +98,26 @@ int MonotonicGbdt::BuildNode(Tree* tree,
   double best_threshold = 0;
   double best_wl = 0, best_wr = 0;
 
-  std::vector<int> sorted = indices;
   for (int f = 0; f < num_features; ++f) {
-    // Ties break by row id, so the gradient sums below add up in one
-    // canonical order whatever order `sorted` arrives in.
-    std::sort(sorted.begin(), sorted.end(), [&](int a, int b) {
-      return x[a][f] < x[b][f] || (x[a][f] == x[b][f] && a < b);
-    });
+    const double* xf = s->column(f);
+    const int* sorted = s->list(f);
     double gl = 0, hl = 0;
-    for (size_t k = 0; k + 1 < sorted.size(); ++k) {
-      int i = sorted[k];
-      gl += grad[i];
-      hl += hess[i];
+    double next = xf[sorted[begin]];
+    for (int k = begin; k + 1 < end; ++k) {
+      const int i = sorted[k];
+      const double value = next;
+      next = xf[sorted[k + 1]];
+      gl += s->grad[i];
+      hl += s->hess[i];
       // Only split between distinct feature values.
-      if (x[sorted[k]][f] >= x[sorted[k + 1]][f]) continue;
+      if (value >= next) continue;
       double gr = g_total - gl, hr = h_total - hl;
       if (hl < config_.min_child_hessian || hr < config_.min_child_hessian) {
         continue;
       }
-      if (static_cast<int>(k + 1) < config_.min_samples_leaf ||
-          static_cast<int>(sorted.size() - k - 1) < config_.min_samples_leaf) {
+      const int left_count = k + 1 - begin;
+      if (left_count < config_.min_samples_leaf ||
+          count - left_count < config_.min_samples_leaf) {
         continue;
       }
       double gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) -
@@ -105,20 +133,40 @@ int MonotonicGbdt::BuildNode(Tree* tree,
       if (gain > best_gain) {
         best_gain = gain;
         best_feature = f;
-        best_threshold = 0.5 * (x[sorted[k]][f] + x[sorted[k + 1]][f]);
+        best_threshold = 0.5 * (value + next);
         best_wl = Clamp(-gl / (hl + lam), lower, upper);
         best_wr = Clamp(-gr / (hr + lam), lower, upper);
       }
     }
   }
 
-  if (best_feature < 0) return node_id;  // no admissible split
+  if (best_feature < 0) return make_leaf();  // no admissible split
 
-  std::vector<int> left_idx, right_idx;
-  for (int i : indices) {
-    (x[i][best_feature] < best_threshold ? left_idx : right_idx).push_back(i);
+  // Route each row by the test Tree::Predict applies, then stably partition
+  // the lists: left rows first, each side in its old (sorted) order.
+  const double* xb = s->column(best_feature);
+  int num_left = 0;
+  for (int k = begin; k < end; ++k) {
+    const bool left = xb[rows[k]] < best_threshold;
+    s->goes_left[rows[k]] = left;
+    num_left += left;
   }
-  assert(!left_idx.empty() && !right_idx.empty());
+  assert(num_left > 0 && num_left < count);
+  // Children at max_depth are leaves: they read only the row-id list.
+  const int first_list = depth + 1 >= config_.max_depth ? num_features : 0;
+  for (int f = first_list; f <= num_features; ++f) {
+    int* list = s->list(f);
+    int kept = begin, spilled = 0;
+    for (int k = begin; k < end; ++k) {  // branch-free: sides are random
+      const int i = list[k];
+      const int left = s->goes_left[i];
+      list[kept] = i;
+      s->spill[spilled] = i;
+      kept += left;
+      spilled += 1 - left;
+    }
+    std::copy(s->spill.begin(), s->spill.begin() + spilled, list + kept);
+  }
 
   double l_lower = lower, l_upper = upper;
   double r_lower = lower, r_upper = upper;
@@ -129,10 +177,9 @@ int MonotonicGbdt::BuildNode(Tree* tree,
     r_upper = std::min(r_upper, mid);
   }
 
-  int left = BuildNode(tree, x, grad, hess, left_idx, depth + 1, l_lower,
-                       l_upper);
-  int right = BuildNode(tree, x, grad, hess, right_idx, depth + 1, r_lower,
-                        r_upper);
+  const int mid_pos = begin + num_left;
+  int left = BuildNode(tree, s, begin, mid_pos, depth + 1, l_lower, l_upper);
+  int right = BuildNode(tree, s, mid_pos, end, depth + 1, r_lower, r_upper);
   tree->nodes[node_id].feature = best_feature;
   tree->nodes[node_id].threshold = best_threshold;
   tree->nodes[node_id].left = left;
@@ -142,12 +189,20 @@ int MonotonicGbdt::BuildNode(Tree* tree,
 
 Status MonotonicGbdt::Fit(const std::vector<LabeledSample>& data) {
   ST_RETURN_NOT_OK(CheckTrainingSet(data, embedding_dim_));
-  const size_t n = data.size();
-  std::vector<std::vector<double>> x(n);
+  const int n = static_cast<int>(data.size());
+  FitState s;
+  s.n = n;
+  s.num_features = embedding_dim_ + 1;
+  s.x.resize(size_t(s.num_features) * n);
+  for (int f = 0; f < embedding_dim_; ++f) {
+    double* xf = s.column(f);
+    for (int i = 0; i < n; ++i) xf[i] = data[i].embedding[f];
+  }
+  double* xp = s.column(embedding_dim_);  // the parallelism feature
   std::vector<double> y(n);
-  size_t positives = 0;
-  for (size_t i = 0; i < n; ++i) {
-    x[i] = MakeFeatures(data[i].embedding, data[i].parallelism);
+  int positives = 0;
+  for (int i = 0; i < n; ++i) {
+    xp[i] = data[i].parallelism / config_.parallelism_scale;
     y[i] = data[i].label == 1 ? 1.0 : 0.0;
     if (data[i].label == 1) ++positives;
   }
@@ -157,25 +212,36 @@ Status MonotonicGbdt::Fit(const std::vector<LabeledSample>& data) {
   double prior = Clamp(static_cast<double>(positives) / n, 0.02, 0.98);
   base_score_ = std::log(prior / (1.0 - prior));
 
-  trees_.clear();
-  std::vector<double> margin(n, base_score_);
-  std::vector<double> grad(n), hess(n);
-  std::vector<int> all(n);
-  std::iota(all.begin(), all.end(), 0);
+  s.presorted.resize(size_t(s.num_features + 1) * n);
+  for (int f = 0; f <= s.num_features; ++f) {
+    int* list = s.presorted.data() + size_t(f) * n;
+    std::iota(list, list + n, 0);
+    if (f == s.num_features) break;  // the row-id list
+    const double* xf = s.column(f);
+    // Stable on ascending row ids: the order is (value, row id).
+    std::stable_sort(list, list + n,
+                     [xf](int a, int b) { return xf[a] < xf[b]; });
+  }
+  s.margin.assign(n, base_score_);
+  s.grad.resize(n);
+  s.hess.resize(n);
+  s.goes_left.resize(n);
+  s.spill.resize(n);
 
+  trees_.clear();
   for (int m = 0; m < config_.num_trees; ++m) {
-    for (size_t i = 0; i < n; ++i) {
-      double s = Sigmoid(margin[i]);
+    for (int i = 0; i < n; ++i) {
+      double sig = Sigmoid(s.margin[i]);
       double w = y[i] > 0.5 ? w_pos : w_neg;
-      grad[i] = w * (s - y[i]);
-      hess[i] = std::max(w * s * (1.0 - s), 1e-9);
+      s.grad[i] = w * (sig - y[i]);
+      s.hess[i] = std::max(w * sig * (1.0 - sig), 1e-9);
     }
+    s.order = s.presorted;
     Tree tree;
-    BuildNode(&tree, x, grad, hess, all, 0, -kInf, kInf);
-    for (size_t i = 0; i < n; ++i) margin[i] += tree.Predict(x[i]);
+    // Each leaf adds its value to the margins of its rows.
+    BuildNode(&tree, &s, 0, n, 0, -kInf, kInf);
     trees_.push_back(std::move(tree));
   }
-  fitted_ = true;
   return Status::OK();
 }
 

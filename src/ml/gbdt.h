@@ -9,6 +9,15 @@
 //   - accepted constrained splits propagate [lower, upper] value bounds into
 //     the subtrees so every leaf respects the monotone order.
 // Since each tree is individually non-increasing in p, the ensemble is too.
+//
+// Split search is presorted exact greedy (XGBoost's column blocks): Fit
+// copies the features once into a feature-major block and sorts each
+// feature's row ids once, by (value, row id). Every node owns one position
+// range in each sorted list; a split stably partitions the lists so both
+// children's ranges stay sorted. A node's scan therefore sums gradients in
+// (value, row id) order, and its totals in row-id order, exactly as a
+// per-node sort with that comparator would: the trees do not depend on how
+// the lists were built.
 
 #pragma once
 
@@ -60,20 +69,17 @@ class MonotonicGbdt : public BottleneckModel {
     std::vector<TreeNode> nodes;
     double Predict(const std::vector<double>& x) const;
   };
+  struct FitState;  // one Fit's columns, sorted lists and gradients
 
   std::vector<double> MakeFeatures(const std::vector<double>& h,
                                    int parallelism) const;
-  int BuildNode(Tree* tree, const std::vector<std::vector<double>>& x,
-                const std::vector<double>& grad,
-                const std::vector<double>& hess,
-                const std::vector<int>& indices, int depth, double lower,
-                double upper);
+  int BuildNode(Tree* tree, FitState* s, int begin, int end, int depth,
+                double lower, double upper);
 
   int embedding_dim_;
   GbdtConfig config_;
   double base_score_ = 0.0;  // initial log-odds
   std::vector<Tree> trees_;
-  bool fitted_ = false;
 };
 
 }  // namespace streamtune::ml

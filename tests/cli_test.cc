@@ -42,8 +42,10 @@ TEST(CliTest, EndToEndPipeline) {
   ASSERT_EQ(0, RunCli(Cli() + " pretrain --history " + hist +
                    " --no-cluster --epochs 5 --out " + bundle));
   ASSERT_EQ(0, RunCli(Cli() + " inspect --bundle " + bundle));
-  ASSERT_EQ(0, RunCli(Cli() + " tune --bundle " + bundle +
-                   " --job nexmark:Q1 --rate 5"));
+  // Every iteration fitted M_f: no step quietly fell back to DS2.
+  const std::string tuned = RunCliCapture(Cli() + " tune --bundle " + bundle +
+                                          " --job nexmark:Q1 --rate 5");
+  EXPECT_NE(tuned.find(" model_fallbacks=0 "), std::string::npos) << tuned;
   ASSERT_EQ(0, RunCli(Cli() + " tune --bundle " + bundle +
                    " --job pqp:linear:0 --rate 3 --model svm"));
   ASSERT_EQ(0, RunCli(Cli() + " simulate --job nexmark:Q2 --rate 2 "

@@ -1,6 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <numeric>
+
+#include "common/math_util.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "ml/gbdt.h"
 
 namespace streamtune::ml {
@@ -135,6 +144,316 @@ TEST(GbdtTest, DepthLimitRespected) {
   double p = gbdt.PredictProbability(h, 10);
   EXPECT_GE(p, 0.0);
   EXPECT_LE(p, 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Presorted fit vs. a per-node-sort reference.
+//
+// ReferenceGbdt is the plain exact-greedy fit: every node copies its row
+// list and sorts it per feature by (value, row id). MonotonicGbdt presorts
+// once per Fit and partitions down the tree; both must build the same trees,
+// so their logits must agree bit for bit.
+
+class ReferenceGbdt {
+ public:
+  ReferenceGbdt(int embedding_dim, GbdtConfig config)
+      : embedding_dim_(embedding_dim), config_(config) {}
+
+  void Fit(const std::vector<LabeledSample>& data) {
+    const size_t n = data.size();
+    std::vector<std::vector<double>> x(n);
+    std::vector<double> y(n);
+    size_t positives = 0;
+    for (size_t i = 0; i < n; ++i) {
+      x[i] = Features(data[i].embedding, data[i].parallelism);
+      y[i] = data[i].label == 1 ? 1.0 : 0.0;
+      if (data[i].label == 1) ++positives;
+    }
+    double w_pos = positives == 0 ? 1.0 : 0.5 * n / positives;
+    double w_neg = positives == n ? 1.0 : 0.5 * n / (n - positives);
+    double prior = Clamp(static_cast<double>(positives) / n, 0.02, 0.98);
+    base_score_ = std::log(prior / (1.0 - prior));
+    trees_.clear();
+    std::vector<double> margin(n, base_score_), grad(n), hess(n);
+    std::vector<int> all(n);
+    std::iota(all.begin(), all.end(), 0);
+    for (int m = 0; m < config_.num_trees; ++m) {
+      for (size_t i = 0; i < n; ++i) {
+        double s = Sigmoid(margin[i]);
+        double w = y[i] > 0.5 ? w_pos : w_neg;
+        grad[i] = w * (s - y[i]);
+        hess[i] = std::max(w * s * (1.0 - s), 1e-9);
+      }
+      Tree tree;
+      BuildNode(&tree, x, grad, hess, all, 0, -kInf, kInf);
+      for (size_t i = 0; i < n; ++i) margin[i] += Predict(tree, x[i]);
+      trees_.push_back(std::move(tree));
+    }
+  }
+
+  double PredictLogit(const std::vector<double>& h, int parallelism) const {
+    std::vector<double> x = Features(h, parallelism);
+    double s = base_score_;
+    for (const Tree& t : trees_) s += Predict(t, x);
+    return s;
+  }
+
+ private:
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+  struct Node {
+    int feature = -1;
+    double threshold = 0;
+    int left = -1, right = -1;
+    double value = 0;
+  };
+  using Tree = std::vector<Node>;
+
+  std::vector<double> Features(const std::vector<double>& h, int p) const {
+    std::vector<double> x = h;
+    x.push_back(p / config_.parallelism_scale);
+    return x;
+  }
+
+  static double Predict(const Tree& t, const std::vector<double>& x) {
+    int node = 0;
+    while (t[node].feature >= 0) {
+      node = x[t[node].feature] < t[node].threshold ? t[node].left
+                                                    : t[node].right;
+    }
+    return t[node].value;
+  }
+
+  int BuildNode(Tree* tree, const std::vector<std::vector<double>>& x,
+                const std::vector<double>& grad,
+                const std::vector<double>& hess,
+                const std::vector<int>& indices, int depth, double lower,
+                double upper) {
+    double g_total = 0, h_total = 0;
+    for (int i : indices) {
+      g_total += grad[i];
+      h_total += hess[i];
+    }
+    const double lam = config_.reg_lambda;
+    int node_id = static_cast<int>(tree->size());
+    tree->emplace_back();
+    (*tree)[node_id].value =
+        config_.learning_rate *
+        Clamp(-g_total / (h_total + lam), lower, upper);
+    if (depth >= config_.max_depth ||
+        static_cast<int>(indices.size()) < 2 * config_.min_samples_leaf) {
+      return node_id;
+    }
+    const int num_features = embedding_dim_ + 1;
+    double parent_score = g_total * g_total / (h_total + lam);
+    double best_gain = config_.min_split_gain;
+    int best_feature = -1;
+    double best_threshold = 0, best_wl = 0, best_wr = 0;
+    std::vector<int> sorted = indices;
+    for (int f = 0; f < num_features; ++f) {
+      std::sort(sorted.begin(), sorted.end(), [&](int a, int b) {
+        return x[a][f] < x[b][f] || (x[a][f] == x[b][f] && a < b);
+      });
+      double gl = 0, hl = 0;
+      for (size_t k = 0; k + 1 < sorted.size(); ++k) {
+        gl += grad[sorted[k]];
+        hl += hess[sorted[k]];
+        if (x[sorted[k]][f] >= x[sorted[k + 1]][f]) continue;
+        double gr = g_total - gl, hr = h_total - hl;
+        if (hl < config_.min_child_hessian || hr < config_.min_child_hessian) {
+          continue;
+        }
+        if (static_cast<int>(k + 1) < config_.min_samples_leaf ||
+            static_cast<int>(sorted.size() - k - 1) <
+                config_.min_samples_leaf) {
+          continue;
+        }
+        double gain = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) -
+                             parent_score);
+        if (config_.enforce_monotonic && f == num_features - 1 &&
+            -gl / (hl + lam) < -gr / (hr + lam)) {
+          continue;
+        }
+        if (gain > best_gain) {
+          best_gain = gain;
+          best_feature = f;
+          best_threshold = 0.5 * (x[sorted[k]][f] + x[sorted[k + 1]][f]);
+          best_wl = Clamp(-gl / (hl + lam), lower, upper);
+          best_wr = Clamp(-gr / (hr + lam), lower, upper);
+        }
+      }
+    }
+    if (best_feature < 0) return node_id;
+    std::vector<int> left_idx, right_idx;
+    for (int i : indices) {
+      (x[i][best_feature] < best_threshold ? left_idx : right_idx)
+          .push_back(i);
+    }
+    double l_lower = lower, l_upper = upper, r_lower = lower, r_upper = upper;
+    if (config_.enforce_monotonic && best_feature == num_features - 1) {
+      double mid = 0.5 * (best_wl + best_wr);
+      l_lower = std::max(l_lower, mid);
+      r_upper = std::min(r_upper, mid);
+    }
+    int left = BuildNode(tree, x, grad, hess, left_idx, depth + 1, l_lower,
+                         l_upper);
+    int right = BuildNode(tree, x, grad, hess, right_idx, depth + 1, r_lower,
+                          r_upper);
+    (*tree)[node_id].feature = best_feature;
+    (*tree)[node_id].threshold = best_threshold;
+    (*tree)[node_id].left = left;
+    (*tree)[node_id].right = right;
+    return node_id;
+  }
+
+  int embedding_dim_;
+  GbdtConfig config_;
+  double base_score_ = 0;
+  std::vector<Tree> trees_;
+};
+
+enum class Labels { kThreshold, kAllPositive, kAllNegative };
+
+struct FitCase {
+  const char* name;
+  int rows;       // training-set size
+  int dim;        // embedding width
+  int levels;     // distinct values per embedding entry
+  bool constant_column;
+  Labels labels;
+  GbdtConfig config;
+};
+
+GbdtConfig Config(bool monotone, int max_depth, int min_samples_leaf,
+                  double min_split_gain = 0.0) {
+  GbdtConfig cfg;
+  cfg.enforce_monotonic = monotone;
+  cfg.max_depth = max_depth;
+  cfg.min_samples_leaf = min_samples_leaf;
+  cfg.min_split_gain = min_split_gain;
+  return cfg;
+}
+
+// Rows in the session fold's shape: every observation is pushed three times,
+// plus one sample induced by monotonicity (bottleneck at p => at p/2; clean
+// at p => clean at 2p). Embedding entries take `levels` values, so nearly
+// every feature is full of ties.
+std::vector<LabeledSample> FoldShapedRows(const FitCase& c, Rng* rng) {
+  std::vector<LabeledSample> rows;
+  while (static_cast<int>(rows.size()) < c.rows) {
+    LabeledSample s;
+    for (int d = 0; d < c.dim; ++d) {
+      s.embedding.push_back(rng->UniformInt(0, c.levels - 1) /
+                            static_cast<double>(c.levels));
+    }
+    if (c.constant_column) s.embedding[0] = 0.5;
+    s.parallelism = rng->UniformInt(1, 12) * 8;
+    const double threshold = 20 + 60 * s.embedding[c.dim - 1];
+    switch (c.labels) {
+      case Labels::kThreshold:
+        s.label = s.parallelism < threshold ? 1 : 0;
+        break;
+      case Labels::kAllPositive:
+        s.label = 1;
+        break;
+      case Labels::kAllNegative:
+        s.label = 0;
+        break;
+    }
+    LabeledSample induced = s;
+    induced.parallelism =
+        s.label == 1 ? std::max(1, s.parallelism / 2) : 2 * s.parallelism;
+    for (const LabeledSample* r : {&s, &s, &s, &induced}) {
+      if (static_cast<int>(rows.size()) < c.rows) rows.push_back(*r);
+    }
+  }
+  return rows;
+}
+
+void PrintTo(const FitCase& c, std::ostream* os) { *os << c.name; }
+
+class GbdtPresortedTest : public ::testing::TestWithParam<FitCase> {};
+
+TEST_P(GbdtPresortedTest, LogitsMatchPerNodeSortBitForBit) {
+  const FitCase& c = GetParam();
+  Rng rng(1000 + c.rows);
+  const std::vector<LabeledSample> data = FoldShapedRows(c, &rng);
+  MonotonicGbdt gbdt(c.dim, c.config);
+  ASSERT_TRUE(gbdt.Fit(data).ok());
+  ReferenceGbdt reference(c.dim, c.config);
+  reference.Fit(data);
+
+  auto expect_same = [&](const std::vector<double>& h, int p) {
+    const double got = gbdt.PredictLogit(h, p);
+    const double want = reference.PredictLogit(h, p);
+    EXPECT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+        << "p=" << p << " got " << got << " want " << want;
+  };
+  for (const LabeledSample& s : data) expect_same(s.embedding, s.parallelism);
+  for (int probe = 0; probe < 200; ++probe) {
+    std::vector<double> h;
+    for (int d = 0; d < c.dim; ++d) h.push_back(rng.Uniform(-0.1, 1.1));
+    expect_same(h, rng.UniformInt(1, 200));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TieHeavy, GbdtPresortedTest,
+    ::testing::Values(
+        FitCase{"n1", 1, 4, 2, false, Labels::kThreshold, Config(true, 4, 2)},
+        FitCase{"n2_leaf1", 2, 4, 2, false, Labels::kThreshold,
+                Config(true, 4, 1)},
+        FitCase{"n7_unconstrained", 7, 4, 2, false, Labels::kThreshold,
+                Config(false, 4, 1)},
+        FitCase{"n40_depth6_leaf1", 40, 4, 2, false, Labels::kThreshold,
+                Config(true, 6, 1)},
+        FitCase{"n120", 120, 8, 3, false, Labels::kThreshold,
+                Config(true, 4, 2)},
+        FitCase{"n120_unconstrained", 120, 8, 3, false, Labels::kThreshold,
+                Config(false, 4, 2)},
+        FitCase{"n300_stumps_constant_column", 300, 6, 3, true,
+                Labels::kThreshold, Config(true, 1, 2)},
+        FitCase{"n400_all_positive", 400, 6, 3, false, Labels::kAllPositive,
+                Config(true, 4, 2)},
+        FitCase{"n400_all_negative", 400, 6, 3, true, Labels::kAllNegative,
+                Config(true, 4, 2)},
+        FitCase{"n600_gamma_leaf5", 600, 8, 4, false, Labels::kThreshold,
+                Config(true, 4, 5, 0.5)},
+        FitCase{"n900_unconstrained_depth6_leaf5", 900, 8, 2, true,
+                Labels::kThreshold, Config(false, 6, 5)},
+        FitCase{"n1620_production_width", 1620, 38, 4, false,
+                Labels::kThreshold, Config(true, 4, 2)}),
+    [](const ::testing::TestParamInfo<FitCase>& info) {
+      return std::string(info.param.name);
+    });
+
+// Fit keeps all its scratch local: four pool threads fitting one model each
+// on the same data must reproduce the serial model's logits exactly.
+TEST(GbdtTest, ConcurrentFitsMatchSerial) {
+  const FitCase c{"concurrent", 600, 8, 3, false, Labels::kThreshold,
+                  Config(true, 4, 2)};
+  Rng rng(77);
+  const std::vector<LabeledSample> data = FoldShapedRows(c, &rng);
+  MonotonicGbdt serial(c.dim, c.config);
+  ASSERT_TRUE(serial.Fit(data).ok());
+
+  constexpr int kThreads = 4;
+  std::vector<MonotonicGbdt> models(kThreads, MonotonicGbdt(c.dim, c.config));
+  std::vector<int> fitted(kThreads, 0);
+  ThreadPool pool(kThreads);
+  pool.ParallelFor(0, kThreads, [&](int64_t t) {
+    fitted[t] = models[t].Fit(data).ok() ? 1 : 0;
+  });
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(fitted[t], 1) << "thread " << t;
+    for (const LabeledSample& s : data) {
+      EXPECT_EQ(
+          std::bit_cast<uint64_t>(models[t].PredictLogit(s.embedding,
+                                                         s.parallelism)),
+          std::bit_cast<uint64_t>(
+              serial.PredictLogit(s.embedding, s.parallelism)))
+          << "thread " << t;
+    }
+  }
 }
 
 }  // namespace

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <sys/stat.h>
 #include <unistd.h>
@@ -269,6 +271,84 @@ TEST(SerializationTest, LoadBundleRejectsTruncatedFile) {
   }
   EXPECT_FALSE(LoadBundle(path).ok());
   std::remove(path.c_str());
+}
+
+// ---- Semantic validation of history records -------------------------------
+//
+// ReadHistoryRecord is the one reader behind LoadHistory and both bundle
+// formats, so one bad value must fail the whole load, and SaveHistory must
+// refuse to write what the reader would reject.
+
+// A one-record history file whose `key` line (parallelism, rates or cost)
+// has its first value replaced by `token`.
+std::string HistoryWithToken(const HistoryRecord& rec, const std::string& key,
+                             const std::string& token) {
+  std::stringstream ss;
+  WriteHistoryRecord(ss, rec);
+  std::string text = ss.str();
+  const size_t line = text.find("\n" + key + " ");
+  EXPECT_NE(line, std::string::npos) << key;
+  const size_t value = line + key.size() + 2;
+  const size_t value_end = text.find_first_of(" \n", value);
+  text.replace(value, value_end - value, token);
+  std::string path = TempPath(("tok_" + key).c_str());
+  std::ofstream os(path);
+  os << "STHISTORY 1\ncount 1\n" << text;
+  return path;
+}
+
+// SaveHistory fails on `rec` and leaves no file behind.
+void ExpectSaveRefused(const HistoryRecord& rec, const char* tag) {
+  std::string path = TempPath(tag);
+  EXPECT_FALSE(SaveHistory({rec}, path).ok()) << tag;
+  struct stat st;
+  EXPECT_NE(::stat(path.c_str(), &st), 0) << tag;
+  std::remove(path.c_str());
+}
+
+TEST(SerializationTest, HistoryRejectsParallelismOutOfRange) {
+  const HistoryRecord rec = SampleCorpus()[0];
+  for (const char* bad : {"0", "-3", "2147483648"}) {
+    std::string path = HistoryWithToken(rec, "parallelism", bad);
+    EXPECT_FALSE(LoadHistory(path).ok()) << "parallelism " << bad;
+    std::remove(path.c_str());
+  }
+  std::string path = HistoryWithToken(rec, "parallelism", "2147483647");
+  EXPECT_TRUE(LoadHistory(path).ok());
+  std::remove(path.c_str());
+
+  HistoryRecord bad = rec;
+  bad.parallelism[0] = 0;
+  ExpectSaveRefused(bad, "save_parallelism");
+}
+
+TEST(SerializationTest, HistoryRejectsNonFiniteOrNegativeRates) {
+  const HistoryRecord rec = SampleCorpus()[0];
+  for (const char* bad : {"nan", "inf", "-1"}) {
+    std::string path = HistoryWithToken(rec, "rates", bad);
+    EXPECT_FALSE(LoadHistory(path).ok()) << "rate " << bad;
+    std::remove(path.c_str());
+  }
+  std::string path = HistoryWithToken(rec, "rates", "0");
+  EXPECT_TRUE(LoadHistory(path).ok());
+  std::remove(path.c_str());
+
+  HistoryRecord bad = rec;
+  bad.source_rates[0] = std::nan("");
+  ExpectSaveRefused(bad, "save_rates");
+}
+
+TEST(SerializationTest, HistoryRejectsNonFiniteCost) {
+  const HistoryRecord rec = SampleCorpus()[0];
+  for (const char* bad : {"nan", "inf", "-inf"}) {
+    std::string path = HistoryWithToken(rec, "cost", bad);
+    EXPECT_FALSE(LoadHistory(path).ok()) << "cost " << bad;
+    std::remove(path.c_str());
+  }
+
+  HistoryRecord bad = rec;
+  bad.job_cost = -std::numeric_limits<double>::infinity();
+  ExpectSaveRefused(bad, "save_cost");
 }
 
 }  // namespace
