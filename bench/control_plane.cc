@@ -104,11 +104,10 @@ void PrintRow(const Sweep& s) {
   const cp::ControlPlaneReport& r = s.report;
   std::printf(
       "%7d jobs chaos=%-3s  %8.0f dec/s  p50 %6.3fms  p99 %6.3fms  "
-      "conv %d/%d (clean %d)  shed %d  quar %d  bp %d/%d  kb %lld\n",
+      "conv %d/%d (clean %d)  shed %d  quar %d  kb %lld\n",
       s.jobs, s.chaos ? "on" : "off", r.decisions_per_sec,
       r.p50_decision_ms, r.p99_decision_ms, r.converged, r.jobs,
-      r.converged_clean, r.shed_jobs, r.quarantined,
-      r.backpressure_engagements, r.backpressure_releases, r.kb_admitted);
+      r.converged_clean, r.shed_jobs, r.quarantined, r.kb_admitted);
 }
 
 std::string SweepJson(const Sweep& s) {
@@ -121,17 +120,14 @@ std::string SweepJson(const Sweep& s) {
       "\"p50_decision_ms\": %.4f, \"p99_decision_ms\": %.4f, "
       "\"converged\": %d, \"converged_full\": %d, \"converged_shed\": %d, "
       "\"converged_clean\": %d, \"quarantined\": %d, \"failed\": %d, "
-      "\"rounds\": %d, \"backpressure_engagements\": %d, "
-      "\"backpressure_releases\": %d, \"kb_admitted\": %lld, "
-      "\"kb_dropped\": %lld, \"kb_deferred\": %lld, "
+      "\"rounds\": %d, \"kb_admitted\": %lld, "
       "\"identity_checked\": %s, \"healthy_jobs\": %d, "
       "\"faulted_jobs\": %d, \"healthy_jobs_bit_identical\": %s}",
       s.jobs, s.chaos ? "true" : "false", r.full_jobs, r.shed_jobs,
       r.decisions, r.decisions_per_sec, r.p50_decision_ms,
       r.p99_decision_ms, r.converged, r.converged_full, r.converged_shed,
-      r.converged_clean, r.quarantined, r.failed, r.rounds,
-      r.backpressure_engagements, r.backpressure_releases, r.kb_admitted,
-      r.kb_dropped, r.kb_deferred, s.identity_checked ? "true" : "false",
+      r.converged_clean, r.quarantined, r.failed, r.rounds, r.kb_admitted,
+      s.identity_checked ? "true" : "false",
       s.healthy_jobs, s.faulted_jobs,
       s.healthy_bit_identical ? "true" : "false");
   return buf;

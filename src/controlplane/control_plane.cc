@@ -14,8 +14,6 @@ constexpr double kTickMinutes = 1.0;
 /// Deterministic start stagger: job `id` first runs at tick
 /// id % kStaggerSlots, so fleet-sized waves do not all arrive at once.
 constexpr int kStaggerSlots = 16;
-/// Extra pacing added to every reschedule while backpressure is engaged.
-constexpr double kBackpressurePenaltyMinutes = 60.0;
 
 }  // namespace
 
@@ -24,8 +22,7 @@ ControlPlane::ControlPlane(kb::KbService* kb, ControlPlaneOptions options)
       snapshot_(kb ? kb->Snapshot() : nullptr),
       options_(std::move(options)),
       pool_(options_.num_threads),
-      queue_(kTickMinutes),
-      gate_(options_.backpressure) {}
+      queue_(kTickMinutes) {}
 
 ControlPlane::~ControlPlane() = default;
 
@@ -65,16 +62,7 @@ const JobTuningSession* ControlPlane::job(std::int64_t id) const {
   return it == jobs_.end() ? nullptr : it->second.get();
 }
 
-std::size_t ControlPlane::BackpressureDepth() const {
-  std::size_t depth = admit_queue_.size();
-  if (kb_ != nullptr) {
-    depth += static_cast<std::size_t>(
-        std::max(0ll, kb_->Stats().writer_queue_depth()));
-  }
-  return depth;
-}
-
-void ControlPlane::EnqueueAdmission(JobTuningSession* job) {
+void ControlPlane::AdmitToKb(JobTuningSession* job) {
   sim::StreamEngine* engine = job->engine();
   kb::AdmissionRecord rec;
   rec.record.graph = engine->graph();
@@ -92,29 +80,10 @@ void ControlPlane::EnqueueAdmission(JobTuningSession* job) {
   rec.record.job_cost = core::JobCost(*metrics);
   rec.record.backpressure = metrics->job_backpressure;
   rec.feedback = job->tuner()->FeedbackFor(engine->graph().name());
-
-  if (gate_.engaged()) ++kb_deferred_;
-  admit_queue_.push_back(std::move(rec));
-  while (admit_queue_.size() > options_.kb_queue_capacity) {
-    admit_queue_.pop_front();  // drop-oldest: bounded memory under storms
-    ++kb_dropped_;
-  }
-}
-
-void ControlPlane::DrainAdmissions() {
-  if (kb_ == nullptr) {
-    kb_dropped_ += static_cast<long long>(admit_queue_.size());
-    admit_queue_.clear();
-    return;
-  }
-  for (int i = 0; i < options_.kb_admit_batch && !admit_queue_.empty(); ++i) {
-    kb::AdmissionRecord rec = std::move(admit_queue_.front());
-    admit_queue_.pop_front();
-    if (kb_->Admit(rec).ok()) {
-      ++kb_admitted_;
-    } else {
-      ++kb_admit_failures_;
-    }
+  if (kb_->Admit(rec).ok()) {
+    ++kb_admitted_;
+  } else {
+    ++kb_admit_failures_;
   }
 }
 
@@ -166,26 +135,15 @@ Result<ControlPlaneReport> ControlPlane::Run() {
       JobTuningSession* job = wave[i];
       if (timed) decision_latencies_ms_.push_back(latency_ms[i]);
       if (job->state() == JobState::kRunning) {
-        // Pace by the job's own virtual clock; engaged backpressure only
-        // delays the next decision, it never changes its content.
-        double next = job->engine()->virtual_minutes() +
-                      options_.decision_period_minutes;
-        if (gate_.engaged()) next += kBackpressurePenaltyMinutes;
-        queue_.Schedule(job->id(), next);
+        // Pace by the job's own virtual clock.
+        queue_.Schedule(job->id(), job->engine()->virtual_minutes() +
+                                       options_.decision_period_minutes);
       } else if (job->state() == JobState::kConverged &&
-                 job->mode() == JobMode::kFull && kb_ != nullptr) {
-        EnqueueAdmission(job);
+                 job->mode() == JobMode::kFull) {
+        AdmitToKb(job);  // full mode implies a KB
       }
     }
-
-    gate_.Update(BackpressureDepth());  // backlog built by this round
-    DrainAdmissions();
-    gate_.Update(BackpressureDepth());  // release once drained to low
   }
-
-  // Final drain: admissions left queued when the fleet went quiet.
-  while (!admit_queue_.empty()) DrainAdmissions();
-  gate_.Update(BackpressureDepth());
 
   if (timed) {
     report.wall_seconds = options_.wall_clock() - t0;
@@ -226,12 +184,8 @@ Result<ControlPlaneReport> ControlPlane::Run() {
     }
     report.job_reports.push_back(jr);
   }
-  report.backpressure_engagements = gate_.engage_count();
-  report.backpressure_releases = gate_.release_count();
   report.kb_admitted = kb_admitted_;
-  report.kb_dropped = kb_dropped_;
   report.kb_admit_failures = kb_admit_failures_;
-  report.kb_deferred = kb_deferred_;
 
   if (timed && report.wall_seconds > 0) {
     report.decisions_per_sec = report.decisions / report.wall_seconds;

@@ -13,11 +13,10 @@
 //     AddJob order run the expensive StreamTune path; the rest are shed to
 //     the DS2 rate rule, so the shed set is a pure function of the fleet
 //     composition;
-//   - backpressure: converged sessions enqueue KB admissions into a
-//     bounded queue drained in batches after each round; a WatermarkGate
-//     over (queue depth + KbService writer queue) slows every job's
-//     decision pacing while engaged. Backpressure changes only WHEN
-//     decisions run, never what they decide;
+//   - KB admission: the serial fold admits each converged full-mode job
+//     into the KB as soon as it converges, in job-id order. A job is
+//     admitted after its trajectory is final and every session reads the
+//     pinned snapshot, so an admission never changes a decision;
 //   - fault containment: per-job breakers and deadline strikes quarantine
 //     repeat offenders; a fleet watchdog force-quarantines whatever is
 //     still running at the round cap, so Run() always terminates;
@@ -31,7 +30,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -40,7 +38,6 @@
 
 #include "common/thread_pool.h"
 #include "common/timer_queue.h"
-#include "controlplane/admission.h"
 #include "controlplane/tuning_session.h"
 #include "kb/kb_service.h"
 
@@ -62,13 +59,6 @@ struct ControlPlaneOptions {
 
   /// Virtual minutes between one job's decisions.
   double decision_period_minutes = 30.0;
-
-  /// Bounded KB admission queue (drop-oldest beyond capacity).
-  std::size_t kb_queue_capacity = 4096;
-  /// Admissions drained per scheduler round.
-  int kb_admit_batch = 8;
-  /// Backpressure watermarks over queue depth + KB writer queue depth.
-  WatermarkOptions backpressure;
 
   /// Per-job fault containment.
   JobFaultOptions fault;
@@ -124,13 +114,13 @@ struct ControlPlaneReport {
   double p50_decision_ms = 0;
   double p99_decision_ms = 0;
 
-  int backpressure_engagements = 0;
-  int backpressure_releases = 0;
   long long kb_admitted = 0;
-  long long kb_dropped = 0;
   long long kb_admit_failures = 0;
-  /// Records enqueued while the gate was engaged (admitted later).
+  /// Always 0: admissions run inline, so none is dropped or deferred and no
+  /// backpressure gate exists. Kept because perfbench reports them.
+  long long kb_dropped = 0;
   long long kb_deferred = 0;
+  int backpressure_engagements = 0;
 
   std::vector<JobReport> job_reports;  ///< ascending job id
 };
@@ -165,9 +155,7 @@ class ControlPlane {
   const ControlPlaneOptions& options() const { return options_; }
 
  private:
-  void EnqueueAdmission(JobTuningSession* job);
-  void DrainAdmissions();
-  std::size_t BackpressureDepth() const;
+  void AdmitToKb(JobTuningSession* job);
 
   kb::KbService* kb_;
   std::shared_ptr<const kb::KbSnapshot> snapshot_;
@@ -175,15 +163,11 @@ class ControlPlane {
   ThreadPool pool_;
   TimerQueue queue_;
   int full_sessions_ = 0;  ///< jobs admitted to the full path
-  WatermarkGate gate_;
 
   std::map<std::int64_t, std::unique_ptr<JobTuningSession>> jobs_;
-  std::deque<kb::AdmissionRecord> admit_queue_;
 
   long long kb_admitted_ = 0;
-  long long kb_dropped_ = 0;
   long long kb_admit_failures_ = 0;
-  long long kb_deferred_ = 0;
   std::vector<double> decision_latencies_ms_;
 };
 

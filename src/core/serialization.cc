@@ -89,8 +89,12 @@ Result<double> DoubleToken(std::istream& is) {
 namespace {
 
 constexpr const char* kHistoryMagic = "STHISTORY";
-constexpr const char* kBundleMagic = "STBUNDLE";
 constexpr int kVersion = 1;
+/// Encoder shapes ReadBundleBody accepts. The encoder allocates 3 *
+/// num_layers hidden_dim x hidden_dim matrices before any weight is read,
+/// so its shape is checked first. Trained bundles use 32 and 3.
+constexpr long long kMaxHiddenDim = 512;
+constexpr long long kMaxGnnLayers = 16;
 
 using io::DoubleToken;
 using io::ExpectToken;
@@ -425,14 +429,17 @@ Result<PretrainedBundle> ReadBundleBody(std::istream& is) {
     ST_ASSIGN_OR_RETURN(long long hd, IntToken(is));
     ST_ASSIGN_OR_RETURN(long long nl, IntToken(is));
     ST_ASSIGN_OR_RETURN(unsigned long long seed, UIntToken(is));
+    if (fd != FeatureEncoder::FeatureDim()) {
+      return Status::InvalidArgument(
+          "bundle was built with a different feature schema");
+    }
+    if (hd < 1 || hd > kMaxHiddenDim || nl < 0 || nl > kMaxGnnLayers) {
+      return Status::InvalidArgument("implausible encoder shape");
+    }
     cfg.feature_dim = static_cast<int>(fd);
     cfg.hidden_dim = static_cast<int>(hd);
     cfg.num_layers = static_cast<int>(nl);
     cfg.seed = static_cast<uint64_t>(seed);
-    if (cfg.feature_dim != FeatureEncoder::FeatureDim()) {
-      return Status::InvalidArgument(
-          "bundle was built with a different feature schema");
-    }
     cm.encoder = ml::GnnEncoder(cfg);
     ST_RETURN_NOT_OK(ReadParamsInto(is, cm.encoder.Params()));
     ST_RETURN_NOT_OK(ExpectToken(is, "head").status());
@@ -483,24 +490,6 @@ Result<PretrainedBundle> ReadBundleBody(std::istream& is) {
   }
   return PretrainedBundle(std::move(clusters), std::move(records),
                           FeatureEncoder{});
-}
-
-Status SaveBundle(const PretrainedBundle& bundle, const std::string& path) {
-  CheckedFileWriter writer(path);
-  writer.stream() << kBundleMagic << ' ' << kVersion << '\n';
-  ST_RETURN_NOT_OK(WriteBundleBody(writer.stream(), bundle));
-  return writer.Commit();
-}
-
-Result<PretrainedBundle> LoadBundle(const std::string& path) {
-  std::ifstream is(path);
-  if (!is) return Status::NotFound("cannot open '" + path + "'");
-  ST_RETURN_NOT_OK(ExpectToken(is, kBundleMagic).status());
-  ST_ASSIGN_OR_RETURN(long long version, IntToken(is));
-  if (version != kVersion) {
-    return Status::InvalidArgument("unsupported bundle version");
-  }
-  return ReadBundleBody(is);
 }
 
 }  // namespace streamtune::core

@@ -1,8 +1,9 @@
 // Persistence for execution histories and pre-trained bundles.
 //
 // A long-running deployment collects histories continuously and pre-trains
-// offline; the online tuner then loads the bundle at job-submission time.
-// The format is a self-describing, line-oriented text format (versioned,
+// offline; the online tuner then loads the bundle, as the `bundle` section
+// of a knowledge-base file (kb/kb_store.h), at job-submission time. The
+// format is a self-describing, line-oriented text format (versioned,
 // human-inspectable, no external dependencies). Loaders validate
 // structure and report malformed input through Status.
 
@@ -20,8 +21,8 @@ namespace streamtune::core {
 
 // ---- Durable file writing --------------------------------------------------
 
-/// Checked, atomic file writer shared by every Save* entry point (histories,
-/// bundles, the knowledge-base store). Streams into `<path>.tmp`; Commit()
+/// Checked, atomic file writer shared by every Save* entry point (histories
+/// and the knowledge-base store). Streams into `<path>.tmp`; Commit()
 /// flushes, verifies the stream, closes, and atomically renames onto `path`,
 /// so readers never observe a partially written file and a failed save
 /// leaves any previous file intact. An uncommitted writer removes its temp
@@ -94,15 +95,11 @@ Result<std::vector<HistoryRecord>> LoadHistory(const std::string& path);
 // ---- Pre-trained bundles ---------------------------------------------------
 
 /// Writes the bundle payload (clusters with encoder/head weights + corpus)
-/// without any file header. Shared by SaveBundle and the knowledge-base
-/// store, which embeds the same payload as a checksummed section.
+/// without any file header. The knowledge-base store embeds it as its
+/// checksummed `bundle` section.
 Status WriteBundleBody(std::ostream& os, const PretrainedBundle& bundle);
-/// Reads a bundle payload written by WriteBundleBody.
+/// Reads a bundle payload written by WriteBundleBody. Rejects an implausible
+/// encoder shape before building the encoder, and non-finite weights.
 Result<PretrainedBundle> ReadBundleBody(std::istream& is);
-
-/// Saves a pre-trained bundle (atomic temp-file + rename).
-[[nodiscard]] Status SaveBundle(const PretrainedBundle& bundle, const std::string& path);
-/// Loads a bundle saved with SaveBundle.
-[[nodiscard]] Result<PretrainedBundle> LoadBundle(const std::string& path);
 
 }  // namespace streamtune::core

@@ -76,18 +76,6 @@ std::shared_ptr<const KbSnapshot> KbService::Snapshot() const {
 }
 
 Result<AdmissionOutcome> KbService::Admit(const AdmissionRecord& rec) {
-  // The queue-depth signal counts this writer from the moment it arrives,
-  // including the time it spends waiting on writer_mu_; a failed admission
-  // un-counts itself so the depth converges back to zero.
-  admissions_started_.fetch_add(1, std::memory_order_relaxed);
-  Result<AdmissionOutcome> outcome = AdmitImpl(rec);
-  if (!outcome.ok()) {
-    admissions_started_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  return outcome;
-}
-
-Result<AdmissionOutcome> KbService::AdmitImpl(const AdmissionRecord& rec) {
   std::lock_guard<std::mutex> writer(writer_mu_);
 
   // Copy-on-write: mutate a private copy of the current state. The copy
@@ -108,7 +96,6 @@ Result<AdmissionOutcome> KbService::AdmitImpl(const AdmissionRecord& rec) {
   {
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     snapshot_ = std::move(next);
-    ++admissions_completed_;
     if (outcome.repretrained) ++repretrains_;
   }
   return outcome;
@@ -117,18 +104,12 @@ Result<AdmissionOutcome> KbService::AdmitImpl(const AdmissionRecord& rec) {
 KbServiceStats KbService::Stats() const {
   KbServiceStats stats;
   {
-    // Version and completion counters advance together under snapshot_mu_,
-    // so this block yields an internally consistent sample.
     std::lock_guard<std::mutex> lock(snapshot_mu_);
     stats.snapshot_version = snapshot_->version();
-    stats.admissions_completed = admissions_completed_;
     stats.repretrains = repretrains_;
   }
-  // Read `started` after `completed`: concurrent writers can only grow it,
-  // so started >= completed holds in every sample.
-  stats.admissions_started = admissions_started_.load(std::memory_order_relaxed);
-  // GED-cache counters are sampled outside the consistent block: they are
-  // individually monotone atomics, which is all MonotoneSince() asserts.
+  // The GED-cache counters are individually monotone atomics, sampled
+  // outside the lock.
   const graph::GedCache::Stats ged = cache_.stats();
   stats.ged_hits_exact = static_cast<long long>(ged.hits_exact);
   stats.ged_hits_certified = static_cast<long long>(ged.hits_certified);

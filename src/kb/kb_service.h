@@ -16,10 +16,11 @@
 //
 // The snapshot's job graphs are adjacency-warmed and its models are frozen,
 // so concurrent sessions can run inference against one snapshot safely.
+// Stats() reports what the writer did: the published version, the inline
+// re-pre-trainings and the shared GED cache's counters.
 
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -55,23 +56,18 @@ class KbSnapshot {
   long long version_ = 0;
 };
 
-/// Writer-side load signals, the control plane's backpressure input. A
-/// consistent sample: counters are monotone across successive Stats() calls
-/// and always satisfy the invariants checked by Consistent().
+/// Writer-side counters. Each counter is non-decreasing across successive
+/// Stats() calls.
 struct KbServiceStats {
   /// Version of the currently published snapshot (one bump per admission).
   long long snapshot_version = 0;
-  /// Admissions that entered Admit() so far (includes in-flight ones).
-  long long admissions_started = 0;
-  /// Admissions that published a snapshot and returned.
-  long long admissions_completed = 0;
-  /// Admissions that triggered an inline re-pre-training.
+  /// Admissions that triggered an inline re-pre-training; sampled together
+  /// with snapshot_version, so never larger than it.
   long long repretrains = 0;
 
   /// GED-cache counters at sample time — how much GED work the shared
-  /// cache saved the admission path's center scans (bench + watchdog
-  /// signal). Sampled from the shared cache's atomics right after the
-  /// consistent block; monotone like the other counters.
+  /// cache saved the admission path's center scans. Sampled from the
+  /// shared cache's atomics after the two counters above.
   long long ged_hits_exact = 0;
   long long ged_hits_certified = 0;
   long long ged_misses = 0;
@@ -91,39 +87,6 @@ struct KbServiceStats {
     const long long total = ged_hits() + ged_misses;
     return total == 0 ? 0.0 : static_cast<double>(ged_hits()) / total;
   }
-
-  /// Writers queued or in flight behind the copy-on-write writer lock.
-  long long writer_queue_depth() const {
-    return admissions_started - admissions_completed;
-  }
-
-  /// Internal invariants of one sample.
-  bool Consistent() const {
-    return admissions_started >= admissions_completed &&
-           admissions_completed >= 0 && snapshot_version >= 0 &&
-           repretrains >= 0 && repretrains <= admissions_completed &&
-           snapshot_version == admissions_completed &&
-           ged_hits_exact >= 0 && ged_hits_certified >= 0 &&
-           ged_misses >= 0 && ged_entries >= 0 && ged_policy_exact >= 0 &&
-           ged_policy_bounded >= 0 && ged_policy_upper >= 0 &&
-           ged_budget_exhausted >= 0 &&
-           ged_budget_exhausted <= ged_policy_exact + ged_policy_bounded;
-  }
-  /// Monotonicity between an earlier sample and this one.
-  bool MonotoneSince(const KbServiceStats& earlier) const {
-    return snapshot_version >= earlier.snapshot_version &&
-           admissions_started >= earlier.admissions_started &&
-           admissions_completed >= earlier.admissions_completed &&
-           repretrains >= earlier.repretrains &&
-           ged_hits_exact >= earlier.ged_hits_exact &&
-           ged_hits_certified >= earlier.ged_hits_certified &&
-           ged_misses >= earlier.ged_misses &&
-           ged_entries >= earlier.ged_entries &&
-           ged_policy_exact >= earlier.ged_policy_exact &&
-           ged_policy_bounded >= earlier.ged_policy_bounded &&
-           ged_policy_upper >= earlier.ged_policy_upper &&
-           ged_budget_exhausted >= earlier.ged_budget_exhausted;
-  }
 };
 
 /// The multi-session KB server. Thread-safe: any number of threads may call
@@ -138,7 +101,7 @@ class KbService {
   static Result<std::unique_ptr<KbService>> Build(
       std::vector<core::HistoryRecord> records, KbUpdateOptions options = {});
 
-  /// Wraps an already pre-trained bundle (e.g. LoadBundle output).
+  /// Wraps an already pre-trained bundle (e.g. Pretrainer::Run output).
   static std::unique_ptr<KbService> FromBundle(
       std::shared_ptr<const core::PretrainedBundle> bundle,
       KbUpdateOptions options = {});
@@ -156,9 +119,8 @@ class KbService {
   /// Durably saves the latest snapshot (atomic temp-file + rename).
   Status Save(const std::string& path) const;
 
-  /// One consistent sample of the writer-side load counters. Samples taken
-  /// later observe counters at least as large (monotone), and every sample
-  /// satisfies KbServiceStats::Consistent().
+  /// One sample of the writer-side counters. Samples taken later observe
+  /// counters at least as large.
   KbServiceStats Stats() const;
 
   /// The latest published version.
@@ -169,8 +131,6 @@ class KbService {
  private:
   KbService(KnowledgeBase kb, KbUpdateOptions options);
 
-  Result<AdmissionOutcome> AdmitImpl(const AdmissionRecord& rec);
-
   graph::GedCache cache_;
   KbUpdater updater_;
 
@@ -180,12 +140,8 @@ class KbService {
   mutable std::mutex snapshot_mu_;
   std::shared_ptr<const KbSnapshot> snapshot_
       STREAMTUNE_GUARDED_BY(snapshot_mu_);
-  /// Bumped on Admit() entry, before the writer lock — the queue-depth
-  /// signal must see writers that are still waiting.
-  std::atomic<long long> admissions_started_{0};
-  /// Completion counters advance together with the snapshot swap, under
-  /// snapshot_mu_, so a Stats() sample is internally consistent.
-  long long admissions_completed_ STREAMTUNE_GUARDED_BY(snapshot_mu_) = 0;
+  /// Advances together with the snapshot swap, under snapshot_mu_, so a
+  /// Stats() sample never counts a re-pre-training it has no version for.
   long long repretrains_ STREAMTUNE_GUARDED_BY(snapshot_mu_) = 0;
 };
 

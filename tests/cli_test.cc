@@ -35,34 +35,41 @@ std::string RunCliCapture(const std::string& cmd) {
 
 TEST(CliTest, EndToEndPipeline) {
   std::string hist = Tmp("hist");
-  std::string bundle = Tmp("bundle");
+  std::string kb = Tmp("kb");
   ASSERT_EQ(0, RunCli(Cli() + " collect --workload nexmark-flink --samples 5 "
                            "--out " + hist));
   ASSERT_EQ(0, RunCli(Cli() + " inspect --history " + hist));
   ASSERT_EQ(0, RunCli(Cli() + " pretrain --history " + hist +
-                   " --no-cluster --epochs 5 --out " + bundle));
-  ASSERT_EQ(0, RunCli(Cli() + " inspect --bundle " + bundle));
+                   " --no-cluster --epochs 5 --kb-path " + kb));
+  // One cluster line with the center, its size and the encoder's shape.
+  const std::string inspected = RunCliCapture(Cli() + " inspect --kb " + kb);
+  EXPECT_NE(inspected.find("  cluster 0: center="), std::string::npos)
+      << inspected;
+  EXPECT_NE(inspected.find(" ops), 25 records, encoder "), std::string::npos)
+      << inspected;
+  EXPECT_NE(inspected.find("x32 layers=3, appearance=25"), std::string::npos)
+      << inspected;
   // Every iteration fitted M_f: no step quietly fell back to DS2.
-  const std::string tuned = RunCliCapture(Cli() + " tune --bundle " + bundle +
+  const std::string tuned = RunCliCapture(Cli() + " tune --kb-path " + kb +
                                           " --job nexmark:Q1 --rate 5");
   EXPECT_NE(tuned.find(" model_fallbacks=0 "), std::string::npos) << tuned;
-  ASSERT_EQ(0, RunCli(Cli() + " tune --bundle " + bundle +
+  ASSERT_EQ(0, RunCli(Cli() + " tune --kb-path " + kb +
                    " --job pqp:linear:0 --rate 3 --model svm"));
   ASSERT_EQ(0, RunCli(Cli() + " simulate --job nexmark:Q2 --rate 2 "
                            "--parallelism 3,4,2"));
   std::remove(hist.c_str());
-  std::remove(bundle.c_str());
+  std::remove(kb.c_str());
 }
 
 TEST(CliTest, ChaosFlagsInjectDeterministicFaults) {
   std::string hist = Tmp("chaos_hist");
-  std::string bundle = Tmp("chaos_bundle");
+  std::string kb = Tmp("chaos_kb");
   ASSERT_EQ(0, RunCli(Cli() + " collect --workload nexmark-flink --samples 5 "
                            "--out " + hist));
   ASSERT_EQ(0, RunCli(Cli() + " pretrain --history " + hist +
-                   " --no-cluster --epochs 5 --out " + bundle));
+                   " --no-cluster --epochs 5 --kb-path " + kb));
 
-  std::string cmd = Cli() + " tune --bundle " + bundle +
+  std::string cmd = Cli() + " tune --kb-path " + kb +
       " --job nexmark:Q1 --rate 5 --chaos-seed 42 --chaos-deploy-fail 0.1 "
       "--chaos-metric-drop 0.1 --chaos-straggler 0.05";
   std::string out1 = RunCliCapture(cmd);
@@ -73,21 +80,21 @@ TEST(CliTest, ChaosFlagsInjectDeterministicFaults) {
   EXPECT_NE(out1.find("survived:"), std::string::npos);
 
   // No chaos flags -> no chaos report.
-  std::string clean = RunCliCapture(Cli() + " tune --bundle " + bundle +
+  std::string clean = RunCliCapture(Cli() + " tune --kb-path " + kb +
                                     " --job nexmark:Q1 --rate 5");
   EXPECT_EQ(clean.find("chaos:"), std::string::npos);
 
   std::remove(hist.c_str());
-  std::remove(bundle.c_str());
+  std::remove(kb.c_str());
 }
 
 TEST(CliTest, RejectsInvalidFaultPlan) {
-  // The fault plan is validated before the bundle is even loaded, so a
-  // nonexistent bundle path still exercises the flag error.
-  std::string bundle = Tmp("nobundle");
-  EXPECT_NE(0, RunCli(Cli() + " tune --bundle " + bundle +
+  // The fault plan is validated before the KB is even loaded, so a
+  // nonexistent KB path still exercises the flag error.
+  std::string kb = Tmp("nokb");
+  EXPECT_NE(0, RunCli(Cli() + " tune --kb-path " + kb +
                    " --job nexmark:Q1 --chaos-deploy-fail 1.5"));
-  EXPECT_NE(0, RunCli(Cli() + " tune --bundle " + bundle +
+  EXPECT_NE(0, RunCli(Cli() + " tune --kb-path " + kb +
                    " --job nexmark:Q1 --chaos-metric-drop -0.3"));
 }
 
@@ -95,10 +102,18 @@ TEST(CliTest, FailsCleanlyOnBadInput) {
   EXPECT_NE(0, RunCli(Cli()));                      // no command
   EXPECT_NE(0, RunCli(Cli() + " bogus"));           // unknown command
   EXPECT_NE(0, RunCli(Cli() + " collect"));         // missing --out
-  EXPECT_NE(0, RunCli(Cli() + " tune --bundle /nonexistent.txt "
+  EXPECT_NE(0, RunCli(Cli() + " tune --kb-path /nonexistent.txt "
                            "--job nexmark:Q1"));
   EXPECT_NE(0, RunCli(Cli() + " simulate --job nexmark:Q99"));
   EXPECT_NE(0, RunCli(Cli() + " simulate --job pqp:linear:999"));
+
+  // pretrain writes a KB file only: --out is not one of its flags.
+  std::string hist = Tmp("bad_hist");
+  ASSERT_EQ(0, RunCli(Cli() + " collect --workload nexmark-flink --samples 2 "
+                           "--out " + hist));
+  EXPECT_NE(0, RunCli(Cli() + " pretrain --history " + hist + " --out " +
+                   Tmp("bad_out")));
+  std::remove(hist.c_str());
 }
 
 }  // namespace

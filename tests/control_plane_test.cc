@@ -1,6 +1,6 @@
-// Tests for the multi-job tuning control plane: the watermark gate,
-// admission order, scheduler edge cases (zero-job fleet, single job,
-// all-quarantined, the round-cap watchdog), backpressure engage/release,
+// Tests for the multi-job tuning control plane: admission order, scheduler
+// edge cases (zero-job fleet, single job, all-quarantined, the round-cap
+// watchdog), inline KB admission leaving every trajectory untouched,
 // pinned shed-fleet trajectories under a chaos storm, the chaos-storm
 // determinism contract (healthy jobs bit-identical to a chaos-free run),
 // and a 10k-job concurrent smoke that doubles as the TSan target.
@@ -72,19 +72,22 @@ struct Fleet {
   }
 };
 
+// Fleet job `i`'s Flink engine, deployed at all-ones.
+std::unique_ptr<sim::StreamEngine> FleetEngine(int i) {
+  JobGraph job = FleetGraph(i);
+  sim::PerfModel model(job, workloads::CostConfigFor(job));
+  sim::SimConfig cfg;
+  cfg.noise_seed = 1000 + static_cast<uint64_t>(i) * 7919;
+  auto engine = std::make_unique<sim::FlinkEngine>(job, model, cfg);
+  engine->ScaleAllSources(4.0);
+  std::vector<int> ones(job.num_operators(), 1);
+  EXPECT_TRUE(engine->Deploy(ones).ok());
+  return engine;
+}
+
 Fleet MakeFleet(int jobs, const sim::FleetFaultPlan* storm) {
   Fleet fleet;
-  for (int i = 0; i < jobs; ++i) {
-    JobGraph job = FleetGraph(i);
-    sim::PerfModel model(job, workloads::CostConfigFor(job));
-    sim::SimConfig cfg;
-    cfg.noise_seed = 1000 + static_cast<uint64_t>(i) * 7919;
-    auto engine = std::make_unique<sim::FlinkEngine>(job, model, cfg);
-    engine->ScaleAllSources(4.0);
-    std::vector<int> ones(job.num_operators(), 1);
-    EXPECT_TRUE(engine->Deploy(ones).ok());
-    fleet.inner.push_back(std::move(engine));
-  }
+  for (int i = 0; i < jobs; ++i) fleet.inner.push_back(FleetEngine(i));
   if (storm != nullptr) {
     for (int i = 0; i < jobs; ++i) {
       fleet.chaos.push_back(std::make_unique<sim::ChaosEngine>(
@@ -105,18 +108,6 @@ ControlPlaneOptions FastOptions() {
   opts.streamtune.max_iterations = 8;
   opts.streamtune.warmup_records = 40;
   return opts;
-}
-
-TEST(AdmissionTest, WatermarkGateHasHysteresis) {
-  WatermarkGate gate(WatermarkOptions{4, 1});
-  EXPECT_FALSE(gate.Update(3));  // below high: stays released
-  EXPECT_TRUE(gate.Update(4));   // engages at high
-  EXPECT_TRUE(gate.Update(2));   // above low: stays engaged
-  EXPECT_FALSE(gate.Update(1));  // releases at low
-  EXPECT_EQ(gate.engage_count(), 1);
-  EXPECT_EQ(gate.release_count(), 1);
-  EXPECT_TRUE(gate.Update(7));
-  EXPECT_EQ(gate.engage_count(), 2);
 }
 
 TEST(ControlPlaneTest, ZeroJobFleetReturnsEmptyReport) {
@@ -215,28 +206,46 @@ TEST(ControlPlaneTest, AllJobsQuarantinedStillTerminates) {
   }
 }
 
-TEST(ControlPlaneTest, BackpressureEngagesAndReleases) {
-  auto service = SmallService();
+TEST(ControlPlaneTest, AdmissionsNeverTouchATrajectory) {
+  // A 12-job full-mode fleet: jobs converge in different rounds, and each
+  // is admitted into the KB while the rest keep deciding. Every job must
+  // decide exactly as it does alone in its own plane on an untouched KB.
+  // Compared, not pinned: full-mode jobs run the model, whose AVX2 and
+  // forced-scalar results differ.
+  constexpr int kJobs = 12;
   ControlPlaneOptions opts = FastOptions();
-  opts.full_admission.capacity = 12;
-  opts.backpressure = WatermarkOptions{4, 1};
-  opts.kb_admit_batch = 1;  // slow writer: converging fleet outruns it
-  ControlPlane plane(service.get(), opts);
+  opts.full_admission.capacity = kJobs;
 
-  Fleet fleet = MakeFleet(12, nullptr);
-  for (int i = 0; i < 12; ++i) {
+  auto service = SmallService();
+  const long long version_before = service->Stats().snapshot_version;
+  ControlPlane plane(service.get(), opts);
+  Fleet fleet = MakeFleet(kJobs, nullptr);
+  for (int i = 0; i < kJobs; ++i) {
     ASSERT_TRUE(plane.AddJob(i, fleet.engine(i)).ok());
   }
   auto report = plane.Run();
-  ASSERT_TRUE(report.ok());
-  EXPECT_EQ(report->converged, 12);
-  EXPECT_GE(report->backpressure_engagements, 1);
-  EXPECT_GE(report->backpressure_releases, 1);
-  // Every enqueued admission eventually lands; nothing leaks in the queue.
-  EXPECT_EQ(report->kb_admitted + report->kb_admit_failures +
-                report->kb_dropped,
-            12);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->full_jobs, kJobs);
+  EXPECT_EQ(report->converged, kJobs);
   EXPECT_GT(report->kb_admitted, 0);
+  EXPECT_EQ(report->kb_admitted + report->kb_admit_failures,
+            report->converged_full);
+  EXPECT_EQ(service->Stats().snapshot_version,
+            version_before + report->kb_admitted);
+
+  for (const JobReport& jr : report->job_reports) {
+    auto alone_service = SmallService();
+    ControlPlane alone(alone_service.get(), opts);
+    auto engine = FleetEngine(static_cast<int>(jr.id));
+    ASSERT_TRUE(alone.AddJob(jr.id, engine.get()).ok());  // same stagger
+    auto solo = alone.Run();
+    ASSERT_TRUE(solo.ok()) << solo.status().ToString();
+    ASSERT_EQ(solo->job_reports.size(), 1u);
+    const JobReport& want = solo->job_reports[0];
+    EXPECT_EQ(jr.state, want.state) << "job " << jr.id;
+    EXPECT_EQ(jr.decisions, want.decisions) << "job " << jr.id;
+    EXPECT_EQ(jr.trajectory_hash, want.trajectory_hash) << "job " << jr.id;
+  }
 }
 
 TEST(ControlPlaneTest, HealthyJobsBitIdenticalUnderChaosStorm) {

@@ -316,6 +316,46 @@ TEST(KbStoreTest, LoadRejectsUnfittableFeedback) {
   std::remove(path.c_str());
 }
 
+TEST(KbStoreTest, LoadRejectsImplausibleEncoderShape) {
+  auto service = KbService::Build(SampleCorpus(), SmallOptions());
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  std::string path = TempPath("encoder_shape");
+  ASSERT_TRUE((*service)->Save(path).ok());
+  const std::string content = ReadAll(path);
+
+  // Split out the bundle body by its header's byte count; write_bundle puts
+  // a replacement back with a matching length and CRC.
+  const std::string bundle_header = "section bundle ";
+  const size_t header = content.find("\n" + bundle_header) + 1;
+  ASSERT_GT(header, 0u);
+  const size_t body_start = content.find('\n', header) + 1;
+  const size_t body_bytes =
+      std::stoul(content.substr(header + bundle_header.size()));
+  const std::string body = content.substr(body_start, body_bytes);
+  auto write_bundle = [&](const std::string& bundle) {
+    std::ostringstream out;
+    out << content.substr(0, header) << bundle_header << bundle.size() << ' '
+        << Crc32(bundle) << '\n'
+        << bundle << content.substr(body_start + body_bytes);
+    WriteAll(path, out.str());
+  };
+  write_bundle(body);
+  ASSERT_TRUE(LoadKb(path).ok());
+
+  // On the first "encoder <feature_dim> <hidden_dim> <num_layers> <seed>"
+  // line, replace hidden_dim and num_layers. Each shape would throw or
+  // allocate without bound if the encoder were built from it.
+  const size_t line = body.find("\nencoder ") + 1;
+  ASSERT_GT(line, 0u);
+  const size_t hidden = body.find(' ', body.find(' ', line) + 1) + 1;
+  const size_t seed = body.find(' ', body.find(' ', hidden) + 1) + 1;
+  for (const char* shape : {"-4 3", "100000 3", "32 100000000"}) {
+    write_bundle(body.substr(0, hidden) + shape + " " + body.substr(seed));
+    EXPECT_FALSE(LoadKb(path).ok()) << "encoder shape " << shape;
+  }
+  std::remove(path.c_str());
+}
+
 /// Writes to `path` what a version-2 writer produced for a fresh KB: the same
 /// three sections under a "STKB 2" / "sections 4" header, then a trailing
 /// "index" section with one line of corpus signature data per record and a

@@ -32,6 +32,29 @@ std::vector<HistoryRecord> SampleCorpus() {
   return CollectHistory(jobs, opts);
 }
 
+// A one-cluster bundle pre-trained on SampleCorpus().
+PretrainedBundle SmallBundle() {
+  PretrainOptions pre;
+  pre.use_clustering = false;
+  pre.epochs = 2;
+  pre.hidden_dim = 16;
+  auto bundle = Pretrainer(pre).Run(SampleCorpus());
+  EXPECT_TRUE(bundle.ok()) << bundle.status().ToString();
+  return std::move(bundle).value();
+}
+
+// The bundle body WriteBundleBody emits for `bundle`.
+std::string BundleBody(const PretrainedBundle& bundle) {
+  std::ostringstream os;
+  EXPECT_TRUE(WriteBundleBody(os, bundle).ok());
+  return os.str();
+}
+
+Result<PretrainedBundle> ReadBody(const std::string& body) {
+  std::istringstream is(body);
+  return ReadBundleBody(is);
+}
+
 TEST(SerializationTest, JobGraphRoundTrip) {
   JobGraph g = workloads::BuildNexmarkJob(workloads::NexmarkQuery::kQ5,
                                           workloads::Engine::kFlink);
@@ -114,9 +137,7 @@ TEST(SerializationTest, BundleRoundTripPreservesModelOutputs) {
   auto bundle = Pretrainer(pre).Run(corpus);
   ASSERT_TRUE(bundle.ok());
 
-  std::string path = TempPath("bundle");
-  ASSERT_TRUE(SaveBundle(*bundle, path).ok());
-  auto back = LoadBundle(path);
+  auto back = ReadBody(BundleBody(*bundle));
   ASSERT_TRUE(back.ok()) << back.status().ToString();
 
   EXPECT_EQ(back->num_clusters(), bundle->num_clusters());
@@ -149,7 +170,6 @@ TEST(SerializationTest, BundleRoundTripPreservesModelOutputs) {
   }
   // Cluster assignment is preserved (same centers).
   EXPECT_EQ(back->AssignCluster(probe), bundle->AssignCluster(probe));
-  std::remove(path.c_str());
 }
 
 TEST(SerializationTest, SaveFailsCleanlyWhenUnwritable) {
@@ -177,33 +197,17 @@ TEST(SerializationTest, SaveLeavesNoTempFileBehind) {
 }
 
 TEST(SerializationTest, BundleBitFlipsNeverCrashTheLoader) {
-  auto corpus = SampleCorpus();
-  PretrainOptions pre;
-  pre.use_clustering = false;
-  pre.epochs = 2;
-  pre.hidden_dim = 16;
-  auto bundle = Pretrainer(pre).Run(corpus);
-  ASSERT_TRUE(bundle.ok());
-  std::string path = TempPath("bundleflip");
-  ASSERT_TRUE(SaveBundle(*bundle, path).ok());
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::string content = buf.str();
-  in.close();
+  const std::string body = BundleBody(SmallBundle());
 
-  // The bundle format has no checksum, so a flip inside a numeric literal
-  // may still parse — but every flip must come back as either ok() or an
-  // error Status, never a crash or an uncaught exception.
+  // A knowledge-base file's CRC rejects every flip before this reader runs,
+  // so the reader itself is tested on raw bodies. A flip inside a numeric
+  // literal may still parse, but every flip must come back as either ok()
+  // or an error Status, never a crash or an uncaught exception.
   int rejected = 0;
-  for (size_t pos = 0; pos < content.size(); pos += 101) {
-    std::string corrupted = content;
+  for (size_t pos = 0; pos < body.size(); pos += 101) {
+    std::string corrupted = body;
     corrupted[pos] = static_cast<char>(corrupted[pos] ^ (1 << (pos % 8)));
-    {
-      std::ofstream os(path, std::ios::binary | std::ios::trunc);
-      os << corrupted;
-    }
-    auto loaded = LoadBundle(path);
+    auto loaded = ReadBody(corrupted);
     if (!loaded.ok()) {
       ++rejected;
     } else {
@@ -211,72 +215,33 @@ TEST(SerializationTest, BundleBitFlipsNeverCrashTheLoader) {
     }
   }
   EXPECT_GT(rejected, 0);
-  std::remove(path.c_str());
 }
 
 // Weights that parse but are not finite must not load: a NaN or Inf weight
 // would silently poison every embedding and prediction of the bundle.
-TEST(SerializationTest, LoadBundleRejectsNonFiniteWeights) {
-  auto corpus = SampleCorpus();
-  PretrainOptions pre;
-  pre.use_clustering = false;
-  pre.epochs = 2;
-  pre.hidden_dim = 16;
-  auto bundle = Pretrainer(pre).Run(corpus);
-  ASSERT_TRUE(bundle.ok());
-  std::string path = TempPath("nonfinite");
-  ASSERT_TRUE(SaveBundle(*bundle, path).ok());
-  std::string content;
-  {
-    std::ifstream in(path);
-    std::stringstream buf;
-    buf << in.rdbuf();
-    content = buf.str();
-  }
+TEST(SerializationTest, ReadBundleBodyRejectsNonFiniteWeights) {
+  const std::string body = BundleBody(SmallBundle());
   // The first token of the first matrix row: every "mat" block is a weight.
-  const size_t mat = content.find("\nmat ");
+  const size_t mat = body.find("\nmat ");
   ASSERT_NE(mat, std::string::npos);
-  const size_t token = content.find('\n', mat + 1) + 1;
-  const size_t token_end = content.find_first_of(" \n", token);
+  const size_t token = body.find('\n', mat + 1) + 1;
+  const size_t token_end = body.find_first_of(" \n", token);
   for (const char* bad : {"nan", "inf"}) {
-    std::string tampered = content;
+    std::string tampered = body;
     tampered.replace(token, token_end - token, bad);
-    {
-      std::ofstream os(path, std::ios::trunc);
-      os << tampered;
-    }
-    EXPECT_FALSE(LoadBundle(path).ok()) << bad;
+    EXPECT_FALSE(ReadBody(tampered).ok()) << bad;
   }
-  std::remove(path.c_str());
 }
 
-TEST(SerializationTest, LoadBundleRejectsTruncatedFile) {
-  auto corpus = SampleCorpus();
-  PretrainOptions pre;
-  pre.use_clustering = false;
-  pre.epochs = 2;
-  pre.hidden_dim = 16;
-  auto bundle = Pretrainer(pre).Run(corpus);
-  ASSERT_TRUE(bundle.ok());
-  std::string path = TempPath("trunc");
-  ASSERT_TRUE(SaveBundle(*bundle, path).ok());
-  // Truncate to half size.
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  std::string content = buf.str();
-  {
-    std::ofstream os(path);
-    os << content.substr(0, content.size() / 2);
-  }
-  EXPECT_FALSE(LoadBundle(path).ok());
-  std::remove(path.c_str());
+TEST(SerializationTest, ReadBundleBodyRejectsTruncatedBody) {
+  const std::string body = BundleBody(SmallBundle());
+  EXPECT_FALSE(ReadBody(body.substr(0, body.size() / 2)).ok());
 }
 
 // ---- Semantic validation of history records -------------------------------
 //
-// ReadHistoryRecord is the one reader behind LoadHistory and both bundle
-// formats, so one bad value must fail the whole load, and SaveHistory must
+// ReadHistoryRecord is the one reader behind LoadHistory and the bundle
+// body, so one bad value must fail the whole load, and SaveHistory must
 // refuse to write what the reader would reject.
 
 // A one-record history file whose `key` line (parallelism, rates or cost)

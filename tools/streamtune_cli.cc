@@ -3,17 +3,16 @@
 //   streamtune_cli collect  --workload nexmark-flink|nexmark-timely|pqp|all
 //                           [--samples N] [--seed S] --out history.txt
 //   streamtune_cli pretrain --history history.txt [--no-cluster] [--k K]
-//                           [--epochs N] --out bundle.txt | --kb-path kb.txt
-//   streamtune_cli tune     --bundle bundle.txt | --kb-path kb.txt [--admit]
-//                           --job <spec> [--rate M]
+//                           [--epochs N] --kb-path kb.txt
+//   streamtune_cli tune     --kb-path kb.txt [--admit] --job <spec> [--rate M]
 //                           [--engine flink|timely] [--model xgboost|svm|nn]
 //   streamtune_cli admit    --kb-path kb.txt --history history.txt
 //   streamtune_cli simulate --job <spec> [--rate M] [--parallelism p1,p2,..]
-//   streamtune_cli inspect  --history h.txt | --bundle b.txt | --kb kb.txt
+//   streamtune_cli inspect  --history h.txt | --kb kb.txt
 //
 // Job specs: nexmark:Q1|Q2|Q3|Q5|Q8  or  pqp:linear|2way|3way:<variant>.
 //
-// The knowledge-base flow (--kb-path) persists the full StreamTune loop:
+// The knowledge-base file (--kb-path) persists the full StreamTune loop:
 // pretrain writes a KB, tune reads it (warm-starting from the job's own
 // admitted feedback) and --admit folds the converged session back in.
 
@@ -49,10 +48,9 @@ int Usage() {
       "  streamtune_cli collect  --workload nexmark-flink|nexmark-timely|"
       "pqp|all [--samples N] [--seed S] --out FILE\n"
       "  streamtune_cli pretrain --history FILE [--no-cluster] [--k K] "
-      "[--epochs N] --out FILE | --kb-path FILE\n"
-      "  streamtune_cli tune     --bundle FILE | --kb-path FILE [--admit] "
-      "--job SPEC [--rate M] "
-      "[--engine flink|timely] [--model xgboost|svm|nn]\n"
+      "[--epochs N] --kb-path FILE\n"
+      "  streamtune_cli tune     --kb-path FILE [--admit] --job SPEC "
+      "[--rate M] [--engine flink|timely] [--model xgboost|svm|nn]\n"
       "                          [--chaos-seed S] [--chaos-deploy-fail P]\n"
       "                          [--chaos-metric-drop P] "
       "[--chaos-straggler P]\n"
@@ -60,7 +58,7 @@ int Usage() {
       "  streamtune_cli admit    --kb-path FILE --history FILE\n"
       "  streamtune_cli simulate --job SPEC [--rate M] "
       "[--parallelism p1,p2,...]\n"
-      "  streamtune_cli inspect  --history FILE | --bundle FILE | --kb FILE\n"
+      "  streamtune_cli inspect  --history FILE | --kb FILE\n"
       "job SPEC: nexmark:Q1|Q2|Q3|Q5|Q8 or pqp:linear|2way|3way:VARIANT\n");
   return 2;
 }
@@ -190,10 +188,7 @@ int CmdCollect(const std::map<std::string, std::string>& flags) {
 }
 
 int CmdPretrain(const std::map<std::string, std::string>& flags) {
-  if (!flags.count("history") ||
-      (!flags.count("out") && !flags.count("kb-path"))) {
-    return Usage();
-  }
+  if (!flags.count("history") || !flags.count("kb-path")) return Usage();
   auto records = core::LoadHistory(flags.at("history"));
   if (!records.ok()) {
     std::fprintf(stderr, "load failed: %s\n",
@@ -213,38 +208,20 @@ int CmdPretrain(const std::map<std::string, std::string>& flags) {
                  bundle.status().ToString().c_str());
     return 1;
   }
-  if (flags.count("out")) {
-    Status st = core::SaveBundle(*bundle, flags.at("out"));
-    if (!st.ok()) {
-      std::fprintf(stderr, "save failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("pre-trained %d cluster(s) -> %s\n", bundle->num_clusters(),
-                flags.at("out").c_str());
+  auto service = kb::KbService::FromBundle(
+      std::make_shared<const core::PretrainedBundle>(std::move(*bundle)));
+  Status st = service->Save(flags.at("kb-path"));
+  if (!st.ok()) {
+    std::fprintf(stderr, "kb save failed: %s\n", st.ToString().c_str());
+    return 1;
   }
-  if (flags.count("kb-path")) {
-    auto service = kb::KbService::FromBundle(
-        std::make_shared<const core::PretrainedBundle>(std::move(*bundle)));
-    Status st = service->Save(flags.at("kb-path"));
-    if (!st.ok()) {
-      std::fprintf(stderr, "kb save failed: %s\n", st.ToString().c_str());
-      return 1;
-    }
-    std::printf("knowledge base initialized -> %s\n",
-                flags.at("kb-path").c_str());
-  }
+  std::printf("knowledge base initialized -> %s\n",
+              flags.at("kb-path").c_str());
   return 0;
 }
 
 int CmdTune(const std::map<std::string, std::string>& flags) {
-  if ((!flags.count("bundle") && !flags.count("kb-path")) ||
-      !flags.count("job")) {
-    return Usage();
-  }
-  if (flags.count("admit") && !flags.count("kb-path")) {
-    std::fprintf(stderr, "--admit requires --kb-path\n");
-    return 2;
-  }
+  if (!flags.count("kb-path") || !flags.count("job")) return Usage();
   bool timely = flags.count("engine") && flags.at("engine") == "timely";
 
   sim::FaultPlan plan;
@@ -272,29 +249,14 @@ int CmdTune(const std::map<std::string, std::string>& flags) {
     return 2;
   }
 
-  std::unique_ptr<kb::KbService> service;
-  std::shared_ptr<const kb::KbSnapshot> snapshot;
-  std::shared_ptr<const core::PretrainedBundle> bundle;
-  if (flags.count("kb-path")) {
-    auto svc = kb::KbService::Open(flags.at("kb-path"));
-    if (!svc.ok()) {
-      std::fprintf(stderr, "kb load failed: %s\n",
-                   svc.status().ToString().c_str());
-      return 1;
-    }
-    service = std::move(*svc);
-    snapshot = service->Snapshot();
-    bundle = snapshot->bundle();
-  } else {
-    auto bundle_res = core::LoadBundle(flags.at("bundle"));
-    if (!bundle_res.ok()) {
-      std::fprintf(stderr, "load failed: %s\n",
-                   bundle_res.status().ToString().c_str());
-      return 1;
-    }
-    bundle = std::make_shared<const core::PretrainedBundle>(
-        std::move(*bundle_res));
+  auto opened = kb::KbService::Open(flags.at("kb-path"));
+  if (!opened.ok()) {
+    std::fprintf(stderr, "kb load failed: %s\n",
+                 opened.status().ToString().c_str());
+    return 1;
   }
+  std::unique_ptr<kb::KbService> service = std::move(*opened);
+  std::shared_ptr<const kb::KbSnapshot> snapshot = service->Snapshot();
   auto job = ParseJobSpec(flags.at("job"), timely);
   if (!job.ok()) {
     std::fprintf(stderr, "%s\n", job.status().ToString().c_str());
@@ -323,9 +285,8 @@ int CmdTune(const std::map<std::string, std::string>& flags) {
     if (m == "nn") opts.model = core::FineTuneModel::kNn;
   }
   std::unique_ptr<core::StreamTuneTuner> tuner =
-      snapshot ? snapshot->NewTuner(job->name(), opts)
-               : std::make_unique<core::StreamTuneTuner>(bundle, opts);
-  if (snapshot && snapshot->job(job->name())) {
+      snapshot->NewTuner(job->name(), opts);
+  if (snapshot->job(job->name())) {
     std::printf("warm start: %zu admitted feedback sample(s) for %s\n",
                 snapshot->job(job->name())->feedback.size(),
                 job->name().c_str());
@@ -511,26 +472,6 @@ int CmdInspect(const std::map<std::string, std::string>& flags) {
                 pos, neg, unl);
     return 0;
   }
-  if (flags.count("bundle")) {
-    auto bundle = core::LoadBundle(flags.at("bundle"));
-    if (!bundle.ok()) {
-      std::fprintf(stderr, "load failed: %s\n",
-                   bundle.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("bundle: %d cluster(s), %zu corpus records\n",
-                bundle->num_clusters(), bundle->records().size());
-    for (int c = 0; c < bundle->num_clusters(); ++c) {
-      const core::ClusterModel& cm = bundle->cluster(c);
-      std::printf(
-          "  cluster %d: center=%s (%d ops), %zu records, encoder "
-          "%dx%d layers=%d\n",
-          c, cm.center.name().c_str(), cm.center.num_operators(),
-          cm.record_indices.size(), cm.encoder.config().feature_dim,
-          cm.encoder.config().hidden_dim, cm.encoder.config().num_layers);
-    }
-    return 0;
-  }
   if (flags.count("kb")) {
     auto loaded = kb::LoadKb(flags.at("kb"));
     if (!loaded.ok()) {
@@ -544,12 +485,15 @@ int CmdInspect(const std::map<std::string, std::string>& flags) {
         loaded->bundle->num_clusters(), loaded->bundle->records().size(),
         loaded->pretrain_corpus_size, loaded->admissions_total,
         loaded->drifted_since_pretrain);
-    for (size_t c = 0; c < loaded->appearance.size(); ++c) {
-      std::printf("  cluster %zu: center=%s, appearance=%lld\n", c,
-                  loaded->bundle->cluster(static_cast<int>(c))
-                      .center.name()
-                      .c_str(),
-                  loaded->appearance[c]);
+    for (int c = 0; c < loaded->bundle->num_clusters(); ++c) {
+      const core::ClusterModel& cm = loaded->bundle->cluster(c);
+      const ml::GnnConfig& enc = cm.encoder.config();
+      std::printf(
+          "  cluster %d: center=%s (%d ops), %zu records, encoder %dx%d "
+          "layers=%d, appearance=%lld\n",
+          c, cm.center.name().c_str(), cm.center.num_operators(),
+          cm.record_indices.size(), enc.feature_dim, enc.hidden_dim,
+          enc.num_layers, loaded->appearance[c]);
     }
     for (const auto& [name, job] : loaded->jobs) {
       std::printf("  job %s: %lld admission(s), %zu feedback sample(s)\n",
