@@ -6,6 +6,7 @@
 #include <deque>
 #include <limits>
 
+#include "baselines/robust_loop.h"
 #include "sim/metrics_sanitizer.h"
 #include "workloads/cost_config.h"
 #include "workloads/nexmark.h"
@@ -124,6 +125,7 @@ class ScriptedEngine : public StreamEngine {
   const JobGraph& graph() const override { return graph_; }
   int max_parallelism() const override { return 100; }
   Status Deploy(const std::vector<int>& p) override {
+    ++deploy_calls_;
     if (!deploy_status_.ok()) {
       Status st = deploy_status_;
       if (--deploy_failures_left_ <= 0) deploy_status_ = Status::OK();
@@ -135,7 +137,12 @@ class ScriptedEngine : public StreamEngine {
   }
   Result<JobMetrics> Measure() override {
     ++measure_calls_;
-    if (script_.empty()) return PlausibleMetrics(graph_.num_operators());
+    if (script_.empty()) {
+      JobMetrics m = PlausibleMetrics(graph_.num_operators());
+      m.total_parallelism = 0;
+      for (int p : parallelism_) m.total_parallelism += p;
+      return m;
+    }
     Result<JobMetrics> r = std::move(script_.front());
     script_.pop_front();
     return r;
@@ -161,6 +168,7 @@ class ScriptedEngine : public StreamEngine {
     deploy_status_ = std::move(status);
   }
 
+  int deploy_calls() const { return deploy_calls_; }
   int measure_calls() const { return measure_calls_; }
 
  private:
@@ -170,6 +178,7 @@ class ScriptedEngine : public StreamEngine {
   Status deploy_status_ = Status::OK();
   int deploy_failures_left_ = 0;
   int reconfigurations_ = 0;
+  int deploy_calls_ = 0;
   int measure_calls_ = 0;
   double virtual_minutes_ = 0;
 };
@@ -262,6 +271,82 @@ TEST(DeployWithRetryTest, RetriesTransientFailures) {
   EXPECT_EQ(2, stats.retries);
   EXPECT_EQ(p, engine.parallelism());
   EXPECT_EQ(1, engine.reconfiguration_count());
+}
+
+TEST(RobustLoopTest, CleanCallsCostOneEngineCallAndStayPristine) {
+  ScriptedEngine engine(Q3());
+  baselines::RobustLoop loop(&engine, baselines::RobustnessOptions{});
+  std::vector<int> p(engine.graph().num_operators(), 3);
+  ASSERT_TRUE(loop.Deploy(p).ok());
+  EXPECT_EQ(1, engine.deploy_calls());
+  ASSERT_TRUE(loop.Measure().ok());
+  EXPECT_EQ(1, engine.measure_calls());
+  EXPECT_FALSE(loop.hardened());
+  EXPECT_DOUBLE_EQ(0.0, engine.virtual_minutes());
+
+  // Pristine: no clamp, however wild the recommendation.
+  std::vector<int> rec(p.size(), 100);
+  loop.ClampStep(&rec);
+  EXPECT_EQ(std::vector<int>(p.size(), 100), rec);
+  baselines::TuningOutcome outcome;
+  loop.FillOutcome(&outcome);
+  EXPECT_EQ(0, outcome.retries);
+  EXPECT_EQ(0, outcome.faults_survived);
+}
+
+TEST(RobustLoopTest, OneRetriedDeployClampsEachStepToFourfold) {
+  ScriptedEngine engine(Q3());
+  const int n = engine.graph().num_operators();
+  baselines::RobustLoop loop(&engine, baselines::RobustnessOptions{});
+  engine.FailDeploys(1, Status::Unavailable("injected"));
+  std::vector<int> cur(n, 1);
+  for (int v = 0; v < n; ++v) cur[v] = 1 + 3 * v;  // 1, 4, 7, ...
+  ASSERT_TRUE(loop.Deploy(cur).ok());
+  EXPECT_TRUE(loop.hardened());
+
+  std::vector<int> up(n, 100), down(n, 1);
+  loop.ClampStep(&up);
+  loop.ClampStep(&down);
+  for (int v = 0; v < n; ++v) {
+    // [floor(cur/4), ceil(cur*4)], never below 1.
+    EXPECT_EQ(std::max(1, cur[v] / 4), down[v]) << "op " << v;
+    EXPECT_EQ(std::min(100, 4 * cur[v]), up[v]) << "op " << v;
+  }
+}
+
+TEST(RobustLoopTest, LambdaDropBeyondMarginRollsBackToBestCleanRun) {
+  const JobGraph g = Q3();
+  const int n = g.num_operators();
+  ScriptedEngine engine(g);
+  baselines::RobustLoop loop(&engine, baselines::RobustnessOptions{});
+  const std::vector<int> good(n, 2), worse(n, 1), worst(n, 3);
+  ASSERT_TRUE(loop.Deploy(good).ok());
+  JobMetrics clean = PlausibleMetrics(n);
+  clean.total_parallelism = 2 * n;
+  EXPECT_FALSE(loop.MaybeRollback(clean));  // becomes the known-good run
+
+  engine.FailDeploys(1, Status::Unavailable("injected"));
+  ASSERT_TRUE(loop.Deploy(worse).ok());
+  ASSERT_TRUE(loop.hardened());
+  // Within the margin: kept.
+  JobMetrics dip = PlausibleMetrics(n);
+  dip.lambda = 0.95;
+  dip.job_backpressure = true;
+  EXPECT_FALSE(loop.MaybeRollback(dip));
+  EXPECT_EQ(worse, engine.parallelism());
+
+  ASSERT_TRUE(loop.Deploy(worst).ok());
+  JobMetrics drop = PlausibleMetrics(n);
+  drop.lambda = 0.85;
+  drop.job_backpressure = true;
+  drop.total_parallelism = 3 * n;
+  const int deploys_before = engine.deploy_calls();
+  EXPECT_TRUE(loop.MaybeRollback(drop));
+  EXPECT_EQ(deploys_before + 1, engine.deploy_calls());
+  EXPECT_EQ(good, engine.parallelism());
+  baselines::TuningOutcome outcome;
+  loop.FillOutcome(&outcome);
+  EXPECT_EQ(1, outcome.rollbacks);
 }
 
 TEST(DeployWithRetryTest, GivesUpAfterBudget) {
