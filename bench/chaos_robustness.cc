@@ -12,9 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "baselines/robust_loop.h"
 #include "bench_common.h"
 #include "sim/chaos_engine.h"
-#include "sim/metrics_sanitizer.h"
 
 using namespace streamtune;
 using namespace streamtune::bench;
@@ -81,7 +81,7 @@ int main() {
           }
 
           std::vector<int> ones(job.num_operators(), 1);
-          if (!sim::DeployWithRetry(engine, ones, RetryOptions{}).ok()) {
+          if (!baselines::RobustLoop(engine).Deploy(ones).ok()) {
             ++cell.runs;
             all_ok = false;
             continue;

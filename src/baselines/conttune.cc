@@ -56,7 +56,7 @@ Result<TuningOutcome> ContTuneTuner::Tune(sim::StreamEngine* engine) {
       [this](const sim::StreamEngine& e, const sim::JobMetrics& m) {
         return Recommend(e, m);
       },
-      options_.max_iterations, options_.robustness, engine);
+      options_.max_iterations, engine);
   return RunToCompletion(&session);
 }
 

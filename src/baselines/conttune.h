@@ -28,8 +28,6 @@ struct ContTuneOptions {
   /// Multiplier for the Big phase (jump factor on the deficit ratio).
   double big_factor = 1.2;
   ml::GpConfig gp;
-  /// Retry/sanitize/rollback knobs for the hardened loop.
-  RobustnessOptions robustness;
 };
 
 /// The ContTune conservative-BO controller.

@@ -63,16 +63,15 @@ std::unique_ptr<TuningSession> Ds2Tuner::NewSession(
       [tuner = *this](const sim::StreamEngine& e, const sim::JobMetrics& m) {
         return tuner.Recommend(e, m);
       },
-      options_.max_iterations, options_.robustness, engine);
+      options_.max_iterations, engine);
 }
 
 RateRuleSession::RateRuleSession(RateRule rule, int max_iterations,
-                                 const RobustnessOptions& robustness,
                                  sim::StreamEngine* engine)
     : rule_(std::move(rule)),
       max_iterations_(max_iterations),
       engine_(engine),
-      loop_(engine, robustness) {}
+      loop_(engine) {}
 
 Result<bool> RateRuleSession::Step() {
   if (done_) return true;

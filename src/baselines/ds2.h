@@ -26,8 +26,6 @@ struct Ds2Options {
   /// Safety headroom multiplied onto target rates (DS2 uses none by
   /// default; kept configurable for ablations).
   double headroom = 1.0;
-  /// Retry/sanitize/rollback knobs for the hardened loop.
-  RobustnessOptions robustness;
 };
 
 /// Target (unthrottled) input rate of every operator: the sources' desired
@@ -49,7 +47,6 @@ using RateRule = std::function<std::vector<int>(const sim::StreamEngine&,
 class RateRuleSession : public TuningSession {
  public:
   RateRuleSession(RateRule rule, int max_iterations,
-                  const RobustnessOptions& robustness,
                   sim::StreamEngine* engine);
 
   Result<bool> Step() override;

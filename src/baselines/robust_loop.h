@@ -1,11 +1,14 @@
-// Shared hardening harness for the tuning loops.
+// The hardened engine call, shared by every tuning loop.
 //
 // Every tuner (DS2, ContTune, ZeroTune, StreamTune) drives its engine
-// through a RobustLoop: Measure() retries transient dropouts and sanitizes
-// samples, Deploy() retries transient reconfiguration failures, and — once
-// a fault has actually been observed ("hardened mode") — recommendations
-// are clamped to bounded per-iteration steps and regressions beyond a
-// lambda margin roll back to the last known-good deployment.
+// through a RobustLoop. Deploy() and Measure() retry transient
+// (kUnavailable) failures up to 4 attempts, sleeping 0.5, 1 and 2 virtual
+// minutes (doubling, capped at 8) on the engine's clock; Measure() also
+// replaces an invalid sample by the median of 3 fresh valid ones. Once a
+// fault has actually been observed ("hardened mode"), recommendations are
+// clamped to within 4x of the deployed degree per iteration, and a lambda
+// regression of more than 0.10 below the best clean run rolls back to that
+// run's deployment.
 //
 // Determinism contract: on a fault-free run the loop stays in pristine
 // mode — one engine call per Measure/Deploy, no clamping, no rollback — so
@@ -18,57 +21,32 @@
 #include <vector>
 
 #include "baselines/tuner.h"
-#include "common/retry.h"
-#include "sim/metrics_sanitizer.h"
 
 namespace streamtune::baselines {
-
-/// Knobs for the hardened tuning loop (shared by all tuners).
-struct RobustnessOptions {
-  RetryOptions retry;
-  sim::SanitizerOptions sanitizer;
-  /// Hardened mode only: per-iteration parallelism deltas are clamped to
-  /// within this factor of the current degree (both directions), so one
-  /// corrupted window cannot trigger a wild reconfiguration.
-  double max_step_factor = 4.0;
-  /// Hardened mode only: roll back to the last known-good deployment when
-  /// a reconfiguration regresses the sustained rate fraction (lambda) by
-  /// more than this margin below the best clean run seen.
-  double rollback_lambda_margin = 0.10;
-  bool rollback_enabled = true;
-};
 
 /// Per-tuning-process harness wrapping one engine. Stateful: construct one
 /// per tuning process, when the process starts.
 class RobustLoop {
  public:
-  RobustLoop(sim::StreamEngine* engine, const RobustnessOptions& options)
+  explicit RobustLoop(sim::StreamEngine* engine)
       : engine_(engine),
-        options_(options),
-        sanitizer_(options.sanitizer),
         reconfig_before_(engine->reconfiguration_count()),
         minutes_before_(engine->virtual_minutes()) {}
 
-  /// Measure with retry + sanitization (see sim::MeasureSanitized).
-  Result<sim::JobMetrics> Measure() {
-    return sim::MeasureSanitized(engine_, &sanitizer_, options_.retry,
-                                 &retry_stats_);
-  }
+  /// Measures with retry; an invalid sample is replaced by the median of
+  /// fresh valid re-measurements, or its validation error is returned when
+  /// none can be obtained (the caller degrades gracefully).
+  Result<sim::JobMetrics> Measure();
 
-  /// Deploy with retry on transient failures.
-  Status Deploy(const std::vector<int>& parallelism) {
-    return sim::DeployWithRetry(engine_, parallelism, options_.retry,
-                                &retry_stats_);
-  }
+  /// Deploys with retry on transient failures.
+  Status Deploy(const std::vector<int>& parallelism);
 
   /// True once any fault has been observed (a retried call or a rejected
   /// sample). Clamping and rollback only engage in hardened mode.
-  bool hardened() const {
-    return retry_stats_.retries > 0 || sanitizer_.stats().rejected > 0;
-  }
+  bool hardened() const { return retries_ > 0 || rejected_ > 0; }
 
-  /// Hardened mode: clamps each operator's recommended change to within
-  /// `max_step_factor` of its currently deployed degree. Pristine: no-op.
+  /// Hardened mode: clamps each operator's recommended degree to within 4x
+  /// of its currently deployed degree. Pristine: no-op.
   void ClampStep(std::vector<int>* rec) const;
 
   /// Call with each accepted measurement. Tracks the best clean deployment
@@ -84,19 +62,19 @@ class RobustLoop {
 
   /// Copies fault/retry/rollback counters into the outcome.
   void FillOutcome(TuningOutcome* outcome) const {
-    outcome->retries = retry_stats_.retries;
+    outcome->retries = retries_;
     outcome->rollbacks += rollbacks_;
-    outcome->faults_survived =
-        retry_stats_.retries + sanitizer_.stats().rejected;
+    outcome->faults_survived = retries_ + rejected_;
   }
 
  private:
   sim::StreamEngine* engine_;
-  RobustnessOptions options_;
-  sim::MetricsSanitizer sanitizer_;
-  RetryStats retry_stats_;
   const int reconfig_before_;
   const double minutes_before_;
+  /// Engine calls re-attempted after a transient failure.
+  int retries_ = 0;
+  /// Samples that failed validation.
+  int rejected_ = 0;
   int rollbacks_ = 0;
   std::vector<int> known_good_;
   double known_good_lambda_ = -1.0;

@@ -114,7 +114,7 @@ Result<TuningOutcome> ZeroTuneTuner::Tune(sim::StreamEngine* engine) {
   const int p_max = engine->max_parallelism();
 
   TuningOutcome outcome;
-  RobustLoop loop(engine, options_.robustness);
+  RobustLoop loop(engine);
 
   // Sample candidates (half of them from the upper half of the range) and
   // score them with the cost model.

@@ -39,8 +39,6 @@ struct ZeroTuneOptions {
   /// Candidate configurations sampled per tuning call.
   int num_samples = 64;
   uint64_t seed = 31;
-  /// Retry/sanitize knobs for the hardened deploy/measure path.
-  RobustnessOptions robustness;
 };
 
 /// The ZeroTune cost-model tuner.

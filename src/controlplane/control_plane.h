@@ -152,8 +152,6 @@ class ControlPlane {
   /// The session for `id`; nullptr when unknown. Valid until destruction.
   const JobTuningSession* job(std::int64_t id) const;
 
-  const ControlPlaneOptions& options() const { return options_; }
-
  private:
   void AdmitToKb(JobTuningSession* job);
 

@@ -117,8 +117,6 @@ class Pretrainer {
   /// least one labeled operator.
   Result<PretrainedBundle> Run(std::vector<HistoryRecord> records) const;
 
-  const PretrainOptions& options() const { return options_; }
-
  private:
   PretrainOptions options_;
 };

@@ -97,7 +97,7 @@ StreamTuneTuner::Session::Session(StreamTuneTuner* tuner,
                                   sim::StreamEngine* engine)
     : tuner_(tuner),
       engine_(engine),
-      loop_(engine, tuner->options_.robustness) {}
+      loop_(engine) {}
 
 Status StreamTuneTuner::Session::Init() {
   cluster_ = tuner_->bundle_->AssignCluster(engine_->graph());

@@ -48,8 +48,6 @@ struct StreamTuneOptions {
   ml::GbdtConfig gbdt;
   ml::NnClassifierConfig nn;
   uint64_t seed = 19;
-  /// Retry/sanitize/rollback knobs for the hardened loop.
-  baselines::RobustnessOptions robustness;
 };
 
 /// The StreamTune online tuner.

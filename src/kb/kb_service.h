@@ -126,8 +126,6 @@ class KbService {
   /// The latest published version.
   long long version() const { return Snapshot()->version(); }
 
-  const KbUpdateOptions& options() const { return updater_.options(); }
-
  private:
   KbService(KnowledgeBase kb, KbUpdateOptions options);
 

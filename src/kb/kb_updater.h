@@ -83,8 +83,6 @@ class KbUpdater {
   /// options.pretrain.num_threads.
   Status Repretrain(KnowledgeBase* kb) const;
 
-  const KbUpdateOptions& options() const { return options_; }
-
  private:
   KbUpdateOptions options_;
   graph::GedCache* cache_;

@@ -19,30 +19,6 @@ Status BadOp(int v, const char* field, double value) {
                             " " + field + " = " + std::to_string(value));
 }
 
-/// Bitwise equality of two samples (frozen-window detection).
-bool SamplesIdentical(const JobMetrics& a, const JobMetrics& b) {
-  if (a.ops.size() != b.ops.size() || a.job_backpressure != b.job_backpressure ||
-      a.severe_backpressure != b.severe_backpressure || a.lambda != b.lambda ||
-      a.total_parallelism != b.total_parallelism ||
-      a.used_cores != b.used_cores) {
-    return false;
-  }
-  for (size_t v = 0; v < a.ops.size(); ++v) {
-    const OperatorMetrics& x = a.ops[v];
-    const OperatorMetrics& y = b.ops[v];
-    if (x.busy_frac != y.busy_frac || x.idle_frac != y.idle_frac ||
-        x.backpressured_frac != y.backpressured_frac ||
-        x.cpu_load != y.cpu_load || x.input_rate != y.input_rate ||
-        x.output_rate != y.output_rate ||
-        x.desired_input_rate != y.desired_input_rate ||
-        x.useful_time_frac_observed != y.useful_time_frac_observed ||
-        x.backpressured != y.backpressured || x.saturated != y.saturated) {
-      return false;
-    }
-  }
-  return true;
-}
-
 double Median(std::vector<double> xs) {
   std::sort(xs.begin(), xs.end());
   size_t n = xs.size();
@@ -57,24 +33,23 @@ bool Majority(const std::vector<bool>& xs) {
 
 }  // namespace
 
-Status ValidateJobMetrics(const JobMetrics& m, double tolerance) {
-  if (!std::isfinite(m.lambda) || m.lambda <= 0 ||
-      m.lambda > 1.0 + tolerance) {
+Status JobMetrics::Validate(double tolerance) const {
+  if (!std::isfinite(lambda) || lambda <= 0 || lambda > 1.0 + tolerance) {
     return Status::OutOfRange("corrupt metric sample: lambda = " +
-                              std::to_string(m.lambda));
+                              std::to_string(lambda));
   }
-  if (!std::isfinite(m.used_cores) || m.used_cores < -tolerance) {
+  if (!std::isfinite(used_cores) || used_cores < -tolerance) {
     return Status::OutOfRange("corrupt metric sample: used_cores = " +
-                              std::to_string(m.used_cores));
+                              std::to_string(used_cores));
   }
-  if (m.total_parallelism < static_cast<int>(m.ops.size())) {
+  if (total_parallelism < static_cast<int>(ops.size())) {
     return Status::OutOfRange(
         "corrupt metric sample: total_parallelism = " +
-        std::to_string(m.total_parallelism) + " below operator count");
+        std::to_string(total_parallelism) + " below operator count");
   }
-  for (size_t i = 0; i < m.ops.size(); ++i) {
+  for (size_t i = 0; i < ops.size(); ++i) {
     const int v = static_cast<int>(i);
-    const OperatorMetrics& om = m.ops[i];
+    const OperatorMetrics& om = ops[i];
     if (!FiniteInRange(om.busy_frac, -tolerance, 1.0 + tolerance)) {
       return BadOp(v, "busy_frac", om.busy_frac);
     }
@@ -110,10 +85,6 @@ Status ValidateJobMetrics(const JobMetrics& m, double tolerance) {
     }
   }
   return Status::OK();
-}
-
-Status JobMetrics::Validate(double tolerance) const {
-  return ValidateJobMetrics(*this, tolerance);
 }
 
 JobMetrics MedianOfSamples(const std::vector<JobMetrics>& samples) {
@@ -168,79 +139,6 @@ JobMetrics MedianOfSamples(const std::vector<JobMetrics>& samples) {
     om.saturated = omaj(&OperatorMetrics::saturated);
   }
   return out;
-}
-
-MetricsSanitizer::Verdict MetricsSanitizer::Check(const JobMetrics& m,
-                                                  Status* detail) {
-  Status st = ValidateJobMetrics(m, options_.fraction_tolerance);
-  if (!st.ok()) {
-    ++stats_.rejected;
-    if (detail) *detail = st;
-    return Verdict::kInvalid;
-  }
-  if (options_.detect_frozen && has_last_ && SamplesIdentical(m, last_)) {
-    ++stats_.frozen;
-    return Verdict::kFrozen;
-  }
-  return Verdict::kOk;
-}
-
-void MetricsSanitizer::Accept(const JobMetrics& m) {
-  has_last_ = true;
-  last_ = m;
-}
-
-Result<JobMetrics> MeasureSanitized(StreamEngine* engine,
-                                    MetricsSanitizer* sanitizer,
-                                    const RetryOptions& retry,
-                                    RetryStats* retry_stats) {
-  auto charge = [engine](double minutes) {
-    engine->AdvanceVirtualMinutes(minutes);
-  };
-  auto measure = [&]() {
-    return RetryResultWithBackoff<JobMetrics>(
-        retry, [engine]() { return engine->Measure(); }, charge, retry_stats);
-  };
-
-  Result<JobMetrics> first = measure();
-  if (!first.ok()) return first;
-
-  Status detail;
-  MetricsSanitizer::Verdict verdict = sanitizer->Check(*first, &detail);
-  if (verdict != MetricsSanitizer::Verdict::kInvalid) {
-    // Frozen samples are counted but accepted: they are numerically valid,
-    // and a noise-free deterministic engine legitimately repeats itself.
-    sanitizer->Accept(*first);
-    return first;
-  }
-
-  // Median-of-k replacement: draw fresh samples, keep the valid ones.
-  std::vector<JobMetrics> valid;
-  const int k = std::max(1, sanitizer->options().median_samples);
-  for (int i = 0; i < k; ++i) {
-    Result<JobMetrics> again = measure();
-    ++sanitizer->mutable_stats()->remeasures;
-    if (!again.ok()) continue;  // dropout burst: spend the budget, move on
-    if (ValidateJobMetrics(*again,
-                           sanitizer->options().fraction_tolerance).ok()) {
-      valid.push_back(std::move(*again));
-    }
-  }
-  if (valid.empty()) return detail;  // nothing usable: caller degrades
-  JobMetrics median = MedianOfSamples(valid);
-  sanitizer->Accept(median);
-  return median;
-}
-
-Status DeployWithRetry(StreamEngine* engine,
-                       const std::vector<int>& parallelism,
-                       const RetryOptions& retry, RetryStats* retry_stats) {
-  auto charge = [engine](double minutes) {
-    engine->AdvanceVirtualMinutes(minutes);
-  };
-  return RetryWithBackoff(
-      retry, [&]() { return engine->Deploy(parallelism); }, charge,
-      retry_stats);
 }
 
 }  // namespace streamtune::sim

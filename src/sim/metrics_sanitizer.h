@@ -1,102 +1,20 @@
-// Metric sanitization for the hardened tuning loop.
+// Metric sample checks for the hardened tuning loop.
 //
 // Production metric systems return garbage under load: NaN gauges, negative
-// counters, out-of-range fractions, and stale windows replayed while the
-// collector is wedged. Every tuner routes its Measure() calls through
-// MeasureSanitized(), which retries transient dropouts (with virtual-clock
-// backoff), validates each sample against physical invariants, and replaces
-// corrupted samples with a component-wise median of fresh re-measurements.
-//
-// Determinism contract: on a clean engine (no chaos, valid samples) the
-// sanitized path performs exactly one Measure() call and returns its sample
-// untouched, so fault-free runs are bit-identical to the unhardened loop.
+// counters, out-of-range fractions. JobMetrics::Validate (defined here)
+// rejects such samples, and baselines::RobustLoop replaces a rejected sample
+// by the MedianOfSamples of fresh re-measurements.
 
 #pragma once
 
 #include <vector>
 
-#include "common/retry.h"
-#include "common/status.h"
-#include "sim/engine.h"
+#include "sim/flink_simulator.h"
 
 namespace streamtune::sim {
-
-/// Sanitizer knobs.
-struct SanitizerOptions {
-  /// Slack allowed on [0,1] fraction invariants (floating-point dust).
-  double fraction_tolerance = 1e-6;
-  /// Flag samples bitwise-identical to the previously accepted one (a
-  /// frozen/stale metric window — with measurement noise enabled, two
-  /// genuinely fresh samples never collide).
-  bool detect_frozen = true;
-  /// Fresh samples drawn for the median-of-k replacement of a corrupted
-  /// sample.
-  int median_samples = 3;
-};
-
-/// What the sanitizer observed while checking samples.
-struct SanitizerStats {
-  /// Samples failing validation (replaced by a median re-measure).
-  int rejected = 0;
-  /// Frozen/stale samples detected (counted, then accepted: numerically
-  /// valid, and indistinguishable from a noise-free deterministic engine).
-  int frozen = 0;
-  /// Extra Measure() calls performed for median-of-k replacement.
-  int remeasures = 0;
-};
-
-/// Free-function form of JobMetrics::Validate().
-Status ValidateJobMetrics(const JobMetrics& m, double tolerance = 1e-6);
 
 /// Component-wise median of samples (majority vote for booleans). `samples`
 /// must be non-empty and agree on the operator count.
 JobMetrics MedianOfSamples(const std::vector<JobMetrics>& samples);
-
-/// Stateful checker: validates invariants and detects frozen samples by
-/// comparison with the previously accepted one. One instance per tuning
-/// process.
-class MetricsSanitizer {
- public:
-  explicit MetricsSanitizer(SanitizerOptions options = {})
-      : options_(options) {}
-
-  enum class Verdict { kOk, kFrozen, kInvalid };
-
-  /// Classifies a sample. On kInvalid, `detail` (if non-null) carries the
-  /// violated invariant. Does not record the sample; call Accept().
-  Verdict Check(const JobMetrics& m, Status* detail = nullptr);
-
-  /// Records `m` as the last accepted sample (frozen-detection baseline).
-  void Accept(const JobMetrics& m);
-
-  const SanitizerOptions& options() const { return options_; }
-  const SanitizerStats& stats() const { return stats_; }
-
-  /// Mutable access for MeasureSanitized's bookkeeping.
-  SanitizerStats* mutable_stats() { return &stats_; }
-
- private:
-  SanitizerOptions options_;
-  SanitizerStats stats_;
-  bool has_last_ = false;
-  JobMetrics last_;
-};
-
-/// Measures through `engine` with retry+backoff on transient dropouts
-/// (backoff charged to the engine's virtual clock) and sanitization of the
-/// sample: corrupted samples are replaced by the median of up to
-/// `sanitizer->options().median_samples` fresh valid samples; if none can
-/// be obtained the last validation error is returned and the caller
-/// degrades gracefully.
-[[nodiscard]] Result<JobMetrics> MeasureSanitized(StreamEngine* engine,
-                                    MetricsSanitizer* sanitizer,
-                                    const RetryOptions& retry,
-                                    RetryStats* retry_stats = nullptr);
-
-/// Deploys through `engine` with retry+backoff on transient failures.
-[[nodiscard]] Status DeployWithRetry(StreamEngine* engine,
-                       const std::vector<int>& parallelism,
-                       const RetryOptions& retry,
-                       RetryStats* retry_stats = nullptr);
 
 }  // namespace streamtune::sim

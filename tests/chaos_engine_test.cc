@@ -8,7 +8,6 @@
 #include "baselines/ds2.h"
 #include "sim/chaos_engine.h"
 #include "sim/engine.h"
-#include "sim/metrics_sanitizer.h"
 #include "workloads/cost_config.h"
 #include "workloads/nexmark.h"
 

@@ -2,7 +2,6 @@
 
 #include "common/circuit_breaker.h"
 #include "common/math_util.h"
-#include "common/retry.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/table_printer.h"
@@ -82,146 +81,6 @@ TEST(ResultDeathTest, ValueOnErrorAbortsInAllBuildTypes) {
   // NOLINTNEXTLINE(st-status-value)
   EXPECT_DEATH({ (void)r.value(); }, "the-missing-thing");
   EXPECT_DEATH({ (void)*r; }, "the-missing-thing");
-}
-
-TEST(RetryTest, RetryableCodes) {
-  EXPECT_TRUE(IsRetryable(Status::Unavailable("x")));
-  EXPECT_FALSE(IsRetryable(Status::OK()));
-  EXPECT_FALSE(IsRetryable(Status::InvalidArgument("x")));
-  EXPECT_FALSE(IsRetryable(Status::FailedPrecondition("x")));
-  EXPECT_FALSE(IsRetryable(Status::Internal("x")));
-}
-
-TEST(RetryTest, SucceedsAfterTransientFailures) {
-  int calls = 0;
-  RetryStats stats;
-  double charged = 0;
-  Status st = RetryWithBackoff(
-      RetryOptions{},
-      [&]() {
-        ++calls;
-        return calls < 3 ? Status::Unavailable("flaky") : Status::OK();
-      },
-      [&](double minutes) { charged += minutes; }, &stats);
-  EXPECT_TRUE(st.ok());
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(stats.retries, 2);
-  // Exponential: 0.5 then 1.0 virtual minutes.
-  EXPECT_DOUBLE_EQ(charged, 1.5);
-  EXPECT_DOUBLE_EQ(stats.backoff_minutes, 1.5);
-}
-
-TEST(RetryTest, NonRetryableFailsImmediately) {
-  int calls = 0;
-  Status st = RetryWithBackoff(RetryOptions{}, [&]() {
-    ++calls;
-    return Status::InvalidArgument("bad");
-  });
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(calls, 1);
-}
-
-TEST(RetryTest, ExhaustsBudgetAndReturnsLastError) {
-  RetryOptions opts;
-  opts.max_attempts = 3;
-  int calls = 0;
-  Status st = RetryWithBackoff(opts, [&]() {
-    ++calls;
-    return Status::Unavailable("still down");
-  });
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kUnavailable);
-  EXPECT_EQ(calls, 3);
-}
-
-TEST(RetryTest, BackoffIsCapped) {
-  RetryOptions opts;
-  opts.max_attempts = 6;
-  opts.initial_backoff_minutes = 4.0;
-  opts.backoff_multiplier = 4.0;
-  opts.max_backoff_minutes = 8.0;
-  double charged = 0;
-  (void)RetryWithBackoff(
-      opts, []() { return Status::Unavailable("down"); },
-      [&](double minutes) { charged += minutes; });
-  // 4 + 8 + 8 + 8 + 8: every sleep after the first hits the cap.
-  EXPECT_DOUBLE_EQ(charged, 36.0);
-}
-
-TEST(RetryTest, BackoffClampsAtHighAttemptCounts) {
-  // 10k re-attempts of a doubling backoff would overflow a double around
-  // attempt ~1075; the clamp saturates at the ceiling instead.
-  RetryOptions opts;
-  opts.initial_backoff_minutes = 0.5;
-  opts.backoff_multiplier = 2.0;
-  opts.max_backoff_minutes = 8.0;
-  EXPECT_DOUBLE_EQ(BackoffMinutes(opts, 0), 0.5);
-  EXPECT_DOUBLE_EQ(BackoffMinutes(opts, 1), 1.0);
-  EXPECT_DOUBLE_EQ(BackoffMinutes(opts, 4), 8.0);
-  for (int retry : {5, 100, 2000, 1000000000}) {
-    double sleep = BackoffMinutes(opts, retry);
-    EXPECT_TRUE(std::isfinite(sleep));
-    EXPECT_DOUBLE_EQ(sleep, 8.0);
-  }
-}
-
-TEST(RetryTest, JitterBoundedAndDeterministic) {
-  RetryOptions opts;
-  opts.initial_backoff_minutes = 2.0;
-  opts.backoff_multiplier = 1.0;
-  opts.max_backoff_minutes = 8.0;
-  opts.jitter_frac = 0.25;
-  opts.jitter_seed = 99;
-  BackoffSchedule a(opts), b(opts);
-  bool any_jittered = false;
-  for (int i = 0; i < 64; ++i) {
-    double sa = a.SleepMinutes(i);
-    // Bounds: base 2.0 scaled into [1.5, 2.5).
-    EXPECT_GE(sa, 2.0 * (1.0 - opts.jitter_frac));
-    EXPECT_LT(sa, 2.0 * (1.0 + opts.jitter_frac));
-    // Deterministic: an identically-seeded schedule replays exactly.
-    EXPECT_DOUBLE_EQ(sa, b.SleepMinutes(i));
-    any_jittered |= sa != 2.0;
-  }
-  EXPECT_TRUE(any_jittered);
-}
-
-TEST(RetryTest, ZeroJitterIsBitIdenticalToUnjittered) {
-  RetryOptions opts;  // jitter_frac defaults to 0
-  BackoffSchedule schedule(opts);
-  for (int i = 0; i < 8; ++i) {
-    EXPECT_DOUBLE_EQ(schedule.SleepMinutes(i), BackoffMinutes(opts, i));
-  }
-}
-
-TEST(RetryTest, JitteredSleepsAreChargedToTheClock) {
-  RetryOptions opts;
-  opts.max_attempts = 4;
-  opts.jitter_frac = 0.5;
-  double charged = 0;
-  RetryStats stats;
-  (void)RetryWithBackoff(
-      opts, []() { return Status::Unavailable("down"); },
-      [&](double minutes) { charged += minutes; }, &stats);
-  EXPECT_EQ(stats.retries, 3);
-  EXPECT_DOUBLE_EQ(charged, stats.backoff_minutes);
-  EXPECT_GT(charged, 0.0);
-}
-
-TEST(RetryTest, ResultFlavorReturnsValue) {
-  int calls = 0;
-  RetryStats stats;
-  Result<int> r = RetryResultWithBackoff<int>(
-      RetryOptions{},
-      [&]() -> Result<int> {
-        ++calls;
-        if (calls < 2) return Status::Unavailable("flaky");
-        return 42;
-      },
-      nullptr, &stats);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, 42);
-  EXPECT_EQ(stats.retries, 1);
 }
 
 TEST(TimerQueueTest, PopsBatchesInTimeOrderSortedById) {

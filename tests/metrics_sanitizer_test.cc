@@ -1,10 +1,13 @@
-// Metric validation, frozen detection, and median-of-k replacement.
+// Metric validation and the hardened engine call (baselines::RobustLoop):
+// retry with virtual-clock backoff, median-of-k replacement of invalid
+// samples, step clamping and rollback.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <deque>
 #include <limits>
+#include <string>
 
 #include "baselines/robust_loop.h"
 #include "sim/metrics_sanitizer.h"
@@ -35,7 +38,6 @@ JobMetrics PlausibleMetrics(int n_ops = 3) {
 }
 
 TEST(ValidateTest, AcceptsPlausibleMetrics) {
-  EXPECT_TRUE(ValidateJobMetrics(PlausibleMetrics()).ok());
   EXPECT_TRUE(PlausibleMetrics().Validate().ok());
 }
 
@@ -70,29 +72,6 @@ TEST(ValidateTest, RejectsOutOfRangeFractions) {
   m = PlausibleMetrics();
   m.lambda = 1.2;
   EXPECT_FALSE(m.Validate().ok());
-}
-
-TEST(SanitizerTest, FlagsFrozenSamples) {
-  MetricsSanitizer sanitizer;
-  JobMetrics m = PlausibleMetrics();
-  EXPECT_EQ(MetricsSanitizer::Verdict::kOk, sanitizer.Check(m));
-  sanitizer.Accept(m);
-  // Bitwise-identical to the accepted baseline: frozen.
-  EXPECT_EQ(MetricsSanitizer::Verdict::kFrozen, sanitizer.Check(m));
-  EXPECT_EQ(1, sanitizer.stats().frozen);
-  // Any field change unfreezes it.
-  m.ops[0].busy_frac += 1e-9;
-  EXPECT_EQ(MetricsSanitizer::Verdict::kOk, sanitizer.Check(m));
-}
-
-TEST(SanitizerTest, InvalidVerdictCarriesDetail) {
-  MetricsSanitizer sanitizer;
-  JobMetrics m = PlausibleMetrics();
-  m.ops[0].input_rate = -1.0;
-  Status detail;
-  EXPECT_EQ(MetricsSanitizer::Verdict::kInvalid, sanitizer.Check(m, &detail));
-  EXPECT_FALSE(detail.ok());
-  EXPECT_EQ(1, sanitizer.stats().rejected);
 }
 
 TEST(MedianTest, ComponentWiseMedian) {
@@ -188,35 +167,59 @@ JobGraph Q3() {
                                     workloads::Engine::kFlink);
 }
 
+/// The loop's fault counters, as a tuner reports them.
+baselines::TuningOutcome OutcomeOf(const baselines::RobustLoop& loop) {
+  baselines::TuningOutcome outcome;
+  loop.FillOutcome(&outcome);
+  return outcome;
+}
+
+JobMetrics NegativeRateSample(int n_ops) {
+  JobMetrics bad = PlausibleMetrics(n_ops);
+  bad.ops[0].input_rate = -1.0;
+  return bad;
+}
+
+TEST(SanitizerTest, InvalidVerdictCarriesDetail) {
+  ScriptedEngine engine(Q3());
+  const int n = engine.graph().num_operators();
+  for (int i = 0; i < 4; ++i) engine.Push(NegativeRateSample(n));
+  baselines::RobustLoop loop(&engine);
+  auto r = loop.Measure();
+  ASSERT_FALSE(r.ok());
+  // The first sample's validation error, naming the violated invariant.
+  EXPECT_EQ(StatusCode::kOutOfRange, r.status().code());
+  EXPECT_NE(std::string::npos, r.status().message().find("input_rate"));
+  EXPECT_EQ(1, OutcomeOf(loop).faults_survived);
+}
+
 TEST(MeasureSanitizedTest, CleanSampleCostsExactlyOneCall) {
   ScriptedEngine engine(Q3());
-  MetricsSanitizer sanitizer;
-  auto r = MeasureSanitized(&engine, &sanitizer, RetryOptions{});
+  baselines::RobustLoop loop(&engine);
+  auto r = loop.Measure();
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(1, engine.measure_calls());
-  EXPECT_EQ(0, sanitizer.stats().rejected);
-  EXPECT_EQ(0, sanitizer.stats().remeasures);
+  EXPECT_EQ(0, OutcomeOf(loop).faults_survived);
 }
 
 TEST(MeasureSanitizedTest, RetriesTransientDropoutsAndChargesClock) {
   ScriptedEngine engine(Q3());
   engine.Push(Status::Unavailable("dropped"));
   engine.Push(Status::Unavailable("dropped"));
-  MetricsSanitizer sanitizer;
-  RetryStats stats;
-  auto r = MeasureSanitized(&engine, &sanitizer, RetryOptions{}, &stats);
+  baselines::RobustLoop loop(&engine);
+  auto r = loop.Measure();
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(3, engine.measure_calls());
-  EXPECT_EQ(2, stats.retries);
-  // Default backoff: 0.5 + 1.0 virtual minutes charged to the engine.
+  EXPECT_EQ(2, OutcomeOf(loop).retries);
+  // Backoff: 0.5 + 1.0 virtual minutes charged to the engine.
   EXPECT_DOUBLE_EQ(1.5, engine.virtual_minutes());
 }
 
 TEST(MeasureSanitizedTest, NonRetryableErrorPropagatesImmediately) {
   ScriptedEngine engine(Q3());
   engine.Push(Status::FailedPrecondition("job not deployed"));
-  MetricsSanitizer sanitizer;
-  auto r = MeasureSanitized(&engine, &sanitizer, RetryOptions{});
+  baselines::RobustLoop loop(&engine);
+  auto r = loop.Measure();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(StatusCode::kFailedPrecondition, r.status().code());
   EXPECT_EQ(1, engine.measure_calls());
@@ -238,44 +241,117 @@ TEST(MeasureSanitizedTest, CorruptedSampleReplacedByMedian) {
   engine.Push(s2);
   engine.Push(s3);
 
-  MetricsSanitizer sanitizer;
-  auto r = MeasureSanitized(&engine, &sanitizer, RetryOptions{});
+  baselines::RobustLoop loop(&engine);
+  auto r = loop.Measure();
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(0.8, r->lambda);  // median of the fresh samples
   EXPECT_TRUE(r->Validate().ok());
-  EXPECT_EQ(1, sanitizer.stats().rejected);
-  EXPECT_EQ(3, sanitizer.stats().remeasures);
+  EXPECT_EQ(1, OutcomeOf(loop).faults_survived);  // one rejected sample
+  EXPECT_EQ(0, OutcomeOf(loop).retries);
+  EXPECT_EQ(4, engine.measure_calls());  // 3 re-measures
 }
 
 TEST(MeasureSanitizedTest, AllSamplesCorruptedReturnsError) {
   const JobGraph g = Q3();
   const int n = g.num_operators();
   ScriptedEngine engine(g);
-  for (int i = 0; i < 8; ++i) {
-    JobMetrics bad = PlausibleMetrics(n);
-    bad.ops[0].input_rate = -1.0;
-    engine.Push(bad);
-  }
-  MetricsSanitizer sanitizer;
-  auto r = MeasureSanitized(&engine, &sanitizer, RetryOptions{});
+  for (int i = 0; i < 8; ++i) engine.Push(NegativeRateSample(n));
+  baselines::RobustLoop loop(&engine);
+  auto r = loop.Measure();
   EXPECT_FALSE(r.ok());
 }
 
 TEST(DeployWithRetryTest, RetriesTransientFailures) {
   ScriptedEngine engine(Q3());
   engine.FailDeploys(2, Status::Unavailable("injected"));
-  RetryStats stats;
+  baselines::RobustLoop loop(&engine);
   std::vector<int> p(engine.graph().num_operators(), 2);
-  Status st = DeployWithRetry(&engine, p, RetryOptions{}, &stats);
+  Status st = loop.Deploy(p);
   ASSERT_TRUE(st.ok());
-  EXPECT_EQ(2, stats.retries);
+  EXPECT_EQ(2, OutcomeOf(loop).retries);
   EXPECT_EQ(p, engine.parallelism());
   EXPECT_EQ(1, engine.reconfiguration_count());
 }
 
+TEST(DeployWithRetryTest, GivesUpAfterBudget) {
+  ScriptedEngine engine(Q3());
+  engine.FailDeploys(100, Status::Unavailable("injected"));
+  baselines::RobustLoop loop(&engine);
+  std::vector<int> p(engine.graph().num_operators(), 2);
+  Status st = loop.Deploy(p);
+  EXPECT_FALSE(st.ok());
+  EXPECT_EQ(StatusCode::kUnavailable, st.code());
+  EXPECT_EQ(0, engine.reconfiguration_count());
+  // Four attempts, with 0.5 + 1 + 2 virtual minutes of backoff between.
+  EXPECT_EQ(4, engine.deploy_calls());
+  EXPECT_DOUBLE_EQ(3.5, engine.virtual_minutes());
+}
+
+TEST(RetryTest, RetryableCodes) {
+  // Only kUnavailable is retried.
+  for (const Status& st :
+       {Status::InvalidArgument("x"), Status::FailedPrecondition("x"),
+        Status::Internal("x")}) {
+    ScriptedEngine engine(Q3());
+    engine.Push(st);
+    baselines::RobustLoop loop(&engine);
+    EXPECT_EQ(st.code(), loop.Measure().status().code());
+    EXPECT_EQ(1, engine.measure_calls());
+  }
+  ScriptedEngine engine(Q3());
+  engine.Push(Status::Unavailable("x"));
+  baselines::RobustLoop loop(&engine);
+  EXPECT_TRUE(loop.Measure().ok());
+  EXPECT_EQ(2, engine.measure_calls());
+}
+
+TEST(RetryTest, SucceedsAfterTransientFailures) {
+  ScriptedEngine engine(Q3());
+  engine.FailDeploys(2, Status::Unavailable("flaky"));
+  baselines::RobustLoop loop(&engine);
+  std::vector<int> p(engine.graph().num_operators(), 2);
+  EXPECT_TRUE(loop.Deploy(p).ok());
+  EXPECT_EQ(3, engine.deploy_calls());
+  EXPECT_EQ(2, OutcomeOf(loop).retries);
+  // Exponential: 0.5 then 1.0 virtual minutes.
+  EXPECT_DOUBLE_EQ(1.5, engine.virtual_minutes());
+}
+
+TEST(RetryTest, NonRetryableFailsImmediately) {
+  ScriptedEngine engine(Q3());
+  engine.FailDeploys(1, Status::InvalidArgument("bad"));
+  baselines::RobustLoop loop(&engine);
+  std::vector<int> p(engine.graph().num_operators(), 2);
+  EXPECT_FALSE(loop.Deploy(p).ok());
+  EXPECT_EQ(1, engine.deploy_calls());
+}
+
+TEST(RetryTest, ExhaustsBudgetAndReturnsLastError) {
+  ScriptedEngine engine(Q3());
+  for (int i = 0; i < 8; ++i) engine.Push(Status::Unavailable("still down"));
+  baselines::RobustLoop loop(&engine);
+  auto r = loop.Measure();
+  EXPECT_FALSE(r.ok());
+  EXPECT_EQ(StatusCode::kUnavailable, r.status().code());
+  EXPECT_EQ(4, engine.measure_calls());
+}
+
+TEST(RetryTest, ResultFlavorReturnsValue) {
+  ScriptedEngine engine(Q3());
+  engine.Push(Status::Unavailable("flaky"));
+  JobMetrics m = PlausibleMetrics(engine.graph().num_operators());
+  m.lambda = 0.42;
+  engine.Push(m);
+  baselines::RobustLoop loop(&engine);
+  auto r = loop.Measure();
+  ASSERT_TRUE(r.ok());
+  EXPECT_DOUBLE_EQ(0.42, r->lambda);
+  EXPECT_EQ(1, OutcomeOf(loop).retries);
+}
+
 TEST(RobustLoopTest, CleanCallsCostOneEngineCallAndStayPristine) {
   ScriptedEngine engine(Q3());
-  baselines::RobustLoop loop(&engine, baselines::RobustnessOptions{});
+  baselines::RobustLoop loop(&engine);
   std::vector<int> p(engine.graph().num_operators(), 3);
   ASSERT_TRUE(loop.Deploy(p).ok());
   EXPECT_EQ(1, engine.deploy_calls());
@@ -288,16 +364,14 @@ TEST(RobustLoopTest, CleanCallsCostOneEngineCallAndStayPristine) {
   std::vector<int> rec(p.size(), 100);
   loop.ClampStep(&rec);
   EXPECT_EQ(std::vector<int>(p.size(), 100), rec);
-  baselines::TuningOutcome outcome;
-  loop.FillOutcome(&outcome);
-  EXPECT_EQ(0, outcome.retries);
-  EXPECT_EQ(0, outcome.faults_survived);
+  EXPECT_EQ(0, OutcomeOf(loop).retries);
+  EXPECT_EQ(0, OutcomeOf(loop).faults_survived);
 }
 
 TEST(RobustLoopTest, OneRetriedDeployClampsEachStepToFourfold) {
   ScriptedEngine engine(Q3());
   const int n = engine.graph().num_operators();
-  baselines::RobustLoop loop(&engine, baselines::RobustnessOptions{});
+  baselines::RobustLoop loop(&engine);
   engine.FailDeploys(1, Status::Unavailable("injected"));
   std::vector<int> cur(n, 1);
   for (int v = 0; v < n; ++v) cur[v] = 1 + 3 * v;  // 1, 4, 7, ...
@@ -318,7 +392,7 @@ TEST(RobustLoopTest, LambdaDropBeyondMarginRollsBackToBestCleanRun) {
   const JobGraph g = Q3();
   const int n = g.num_operators();
   ScriptedEngine engine(g);
-  baselines::RobustLoop loop(&engine, baselines::RobustnessOptions{});
+  baselines::RobustLoop loop(&engine);
   const std::vector<int> good(n, 2), worse(n, 1), worst(n, 3);
   ASSERT_TRUE(loop.Deploy(good).ok());
   JobMetrics clean = PlausibleMetrics(n);
@@ -344,21 +418,7 @@ TEST(RobustLoopTest, LambdaDropBeyondMarginRollsBackToBestCleanRun) {
   EXPECT_TRUE(loop.MaybeRollback(drop));
   EXPECT_EQ(deploys_before + 1, engine.deploy_calls());
   EXPECT_EQ(good, engine.parallelism());
-  baselines::TuningOutcome outcome;
-  loop.FillOutcome(&outcome);
-  EXPECT_EQ(1, outcome.rollbacks);
-}
-
-TEST(DeployWithRetryTest, GivesUpAfterBudget) {
-  ScriptedEngine engine(Q3());
-  engine.FailDeploys(100, Status::Unavailable("injected"));
-  RetryOptions retry;
-  retry.max_attempts = 3;
-  std::vector<int> p(engine.graph().num_operators(), 2);
-  Status st = DeployWithRetry(&engine, p, retry);
-  EXPECT_FALSE(st.ok());
-  EXPECT_EQ(StatusCode::kUnavailable, st.code());
-  EXPECT_EQ(0, engine.reconfiguration_count());
+  EXPECT_EQ(1, OutcomeOf(loop).rollbacks);
 }
 
 }  // namespace

@@ -9,13 +9,13 @@
 
 #include "baselines/conttune.h"
 #include "baselines/ds2.h"
+#include "baselines/robust_loop.h"
 #include "baselines/zerotune.h"
 #include "core/history.h"
 #include "core/pretrain.h"
 #include "core/streamtune_tuner.h"
 #include "sim/chaos_engine.h"
 #include "sim/engine.h"
-#include "sim/metrics_sanitizer.h"
 #include "workloads/cost_config.h"
 #include "workloads/pqp.h"
 
@@ -33,7 +33,7 @@ sim::FlinkEngine MakeEngine(const JobGraph& job) {
 
 void DeployOnesWithRetry(sim::StreamEngine* engine) {
   std::vector<int> ones(engine->graph().num_operators(), 1);
-  ASSERT_TRUE(sim::DeployWithRetry(engine, ones, RetryOptions{}).ok());
+  ASSERT_TRUE(baselines::RobustLoop(engine).Deploy(ones).ok());
 }
 
 // Shared fixture: pre-train once for the whole suite.

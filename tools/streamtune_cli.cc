@@ -22,10 +22,10 @@
 #include <memory>
 #include <string>
 
+#include "baselines/robust_loop.h"
 #include "common/table_printer.h"
 #include "core/history.h"
 #include "sim/chaos_engine.h"
-#include "sim/metrics_sanitizer.h"
 #include "core/pretrain.h"
 #include "core/serialization.h"
 #include "core/streamtune_tuner.h"
@@ -275,7 +275,7 @@ int CmdTune(const std::map<std::string, std::string>& flags) {
   std::vector<int> ones(job->num_operators(), 1);
   // Retried so an injected fault cannot leave the job undeployed before
   // tuning even starts (a single call when chaos is off).
-  (void)sim::DeployWithRetry(engine, ones, RetryOptions{});
+  (void)baselines::RobustLoop(engine).Deploy(ones);
   engine->ScaleAllSources(rate);
 
   core::StreamTuneOptions opts;
