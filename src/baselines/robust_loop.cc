@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 
 #include "sim/metrics_sanitizer.h"
@@ -25,6 +26,22 @@ constexpr int kMedianSamples = 3;
 constexpr double kMaxStepFactor = 4.0;
 /// Hardened mode: a lambda this far below the best clean run rolls back.
 constexpr double kRollbackLambdaMargin = 0.10;
+
+/// A valid sample of the current deployment: JobMetrics::Validate, and a
+/// total parallelism equal to the deployed one (a frozen metric window
+/// replays a sample of an earlier deployment).
+Status CheckSample(const sim::JobMetrics& m,
+                   const std::vector<int>& deployed) {
+  ST_RETURN_NOT_OK(m.Validate());
+  int total = 0;
+  for (int p : deployed) total += p;
+  if (m.total_parallelism != total) {
+    return Status::OutOfRange("stale metric sample: total_parallelism = " +
+                              std::to_string(m.total_parallelism) +
+                              ", deployed " + std::to_string(total));
+  }
+  return Status::OK();
+}
 
 const Status& StatusOf(const Status& status) { return status; }
 const Status& StatusOf(const Result<sim::JobMetrics>& result) {
@@ -57,7 +74,7 @@ Result<sim::JobMetrics> RobustLoop::Measure() {
   };
   Result<sim::JobMetrics> first = measure();
   if (!first.ok()) return first;
-  Status invalid = first->Validate();
+  Status invalid = CheckSample(*first, engine_->parallelism());
   if (invalid.ok()) return first;
 
   // Median-of-k replacement: draw fresh samples, keep the valid ones.
@@ -66,7 +83,7 @@ Result<sim::JobMetrics> RobustLoop::Measure() {
   for (int i = 0; i < kMedianSamples; ++i) {
     Result<sim::JobMetrics> again = measure();
     // A dropout burst spends the budget and moves on.
-    if (again.ok() && again->Validate().ok()) {
+    if (again.ok() && CheckSample(*again, engine_->parallelism()).ok()) {
       valid.push_back(std::move(*again));
     }
   }

@@ -3,12 +3,13 @@
 // Every tuner (DS2, ContTune, ZeroTune, StreamTune) drives its engine
 // through a RobustLoop. Deploy() and Measure() retry transient
 // (kUnavailable) failures up to 4 attempts, sleeping 0.5, 1 and 2 virtual
-// minutes (doubling, capped at 8) on the engine's clock; Measure() also
-// replaces an invalid sample by the median of 3 fresh valid ones. Once a
-// fault has actually been observed ("hardened mode"), recommendations are
-// clamped to within 4x of the deployed degree per iteration, and a lambda
-// regression of more than 0.10 below the best clean run rolls back to that
-// run's deployment.
+// minutes (doubling, capped at 8) on the engine's clock. Measure() also
+// replaces an invalid sample — one failing JobMetrics::Validate, or a stale
+// one whose total parallelism is not the deployed total — by the median of
+// 3 fresh valid ones. Once a fault has actually been observed ("hardened
+// mode"), recommendations are clamped to within 4x of the deployed degree
+// per iteration, and a lambda regression of more than 0.10 below the best
+// clean run rolls back to that run's deployment.
 //
 // Determinism contract: on a fault-free run the loop stays in pristine
 // mode — one engine call per Measure/Deploy, no clamping, no rollback — so
@@ -33,9 +34,9 @@ class RobustLoop {
         reconfig_before_(engine->reconfiguration_count()),
         minutes_before_(engine->virtual_minutes()) {}
 
-  /// Measures with retry; an invalid sample is replaced by the median of
-  /// fresh valid re-measurements, or its validation error is returned when
-  /// none can be obtained (the caller degrades gracefully).
+  /// Measures with retry; an invalid or stale sample is replaced by the
+  /// median of fresh valid re-measurements, or its validation error is
+  /// returned when none can be obtained (the caller degrades gracefully).
   Result<sim::JobMetrics> Measure();
 
   /// Deploys with retry on transient failures.

@@ -234,6 +234,22 @@ Result<bool> StreamTuneTuner::Session::Step() {
     }
   }
 
+  // Labels observed at `rec` pin this process's bracket: a bottleneck
+  // pins the lower bound above rec, a clean operator pins the upper bound
+  // at rec.
+  auto pin_bracket = [&](const std::vector<int>& labels) {
+    for (int v = 0; v < n_ops; ++v) {
+      if (labels[v] == 1) {
+        bracket_lo_[v] = std::max(bracket_lo_[v], rec[v] + 1);
+        // Bottleneck evidence wins a contradiction (noise can mislabel 0).
+        bracket_hi_[v] = std::max(bracket_hi_[v], bracket_lo_[v]);
+      } else if (labels[v] == 0) {
+        bracket_hi_[v] =
+            std::max(bracket_lo_[v], std::min(bracket_hi_[v], rec[v]));
+      }
+    }
+  };
+
   // Line 10: redeploy and monitor. A persistently failing Deploy or
   // Measure degrades gracefully: the loop stops and keeps what it has.
   if (!loop_.Deploy(rec).ok()) {
@@ -249,10 +265,12 @@ Result<bool> StreamTuneTuner::Session::Step() {
   const sim::JobMetrics& metrics = last_metrics_;
   if (metrics.job_backpressure) ++outcome_.backpressure_events;
   if (loop_.MaybeRollback(metrics)) {
-    // The regressed deployment was replaced by the last known-good one;
-    // refresh the observation so the next iteration labels the restored
-    // configuration, and skip folding the regressed sample into the
-    // dataset.
+    // The regressed deployment was replaced by the last known-good one.
+    // Its labels still pin the bracket, so the next iteration does not
+    // recommend the same probe again; they stay out of M_f's dataset.
+    // Refresh the observation so the next iteration labels the restored
+    // configuration.
+    pin_bracket(LabelBottlenecks(engine->graph(), metrics));
     Result<sim::JobMetrics> restored = loop_.Measure();
     if (!restored.ok()) {
       done_ = true;
@@ -276,16 +294,7 @@ Result<bool> StreamTuneTuner::Session::Step() {
   last_backpressure_ = metrics.job_backpressure;
   last_severe_ = metrics.severe_backpressure;
   if (!last_backpressure_) last_clean_ = engine->parallelism();
-  for (int v = 0; v < n_ops; ++v) {
-    if (last_labels_[v] == 1) {
-      bracket_lo_[v] = std::max(bracket_lo_[v], rec[v] + 1);
-      // Bottleneck evidence wins a contradiction (noise can mislabel 0).
-      bracket_hi_[v] = std::max(bracket_hi_[v], bracket_lo_[v]);
-    } else if (last_labels_[v] == 0) {
-      bracket_hi_[v] =
-          std::max(bracket_lo_[v], std::min(bracket_hi_[v], rec[v]));
-    }
-  }
+  pin_bracket(last_labels_);
   const ml::Matrix emb = tuner_->bundle_->AgnosticEmbeddings(
       cluster_, engine->graph(), engine->current_source_rates());
   const int p_max = engine->max_parallelism();

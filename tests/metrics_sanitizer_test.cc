@@ -368,6 +368,22 @@ TEST(RobustLoopTest, CleanCallsCostOneEngineCallAndStayPristine) {
   EXPECT_EQ(0, OutcomeOf(loop).faults_survived);
 }
 
+TEST(RobustLoopTest, StaleSampleAfterDeployIsReplacedAsOneFault) {
+  const JobGraph g = Q3();
+  const int n = g.num_operators();
+  ScriptedEngine engine(g);
+  baselines::RobustLoop loop(&engine);
+  ASSERT_TRUE(loop.Deploy(std::vector<int>(n, 2)).ok());
+  // A frozen window replays the all-ones deployment's (valid) sample.
+  engine.Push(PlausibleMetrics(n));
+  auto r = loop.Measure();
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(2 * n, r->total_parallelism);  // the median of fresh samples
+  EXPECT_EQ(4, engine.measure_calls());
+  EXPECT_EQ(1, OutcomeOf(loop).faults_survived);
+  EXPECT_TRUE(loop.hardened());
+}
+
 TEST(RobustLoopTest, OneRetriedDeployClampsEachStepToFourfold) {
   ScriptedEngine engine(Q3());
   const int n = engine.graph().num_operators();

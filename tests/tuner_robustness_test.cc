@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <set>
 
 #include "baselines/conttune.h"
 #include "baselines/ds2.h"
@@ -17,6 +18,7 @@
 #include "sim/chaos_engine.h"
 #include "sim/engine.h"
 #include "workloads/cost_config.h"
+#include "workloads/nexmark.h"
 #include "workloads/pqp.h"
 
 namespace streamtune {
@@ -30,6 +32,47 @@ sim::FlinkEngine MakeEngine(const JobGraph& job) {
   sim::PerfModel model(job, workloads::CostConfigFor(job));
   return sim::FlinkEngine(job, model, sim::SimConfig{});
 }
+
+/// Forwards every call to an engine and records each successful deploy.
+class RecordingEngine : public sim::StreamEngine {
+ public:
+  explicit RecordingEngine(sim::StreamEngine* inner) : inner_(inner) {}
+
+  const JobGraph& graph() const override { return inner_->graph(); }
+  int max_parallelism() const override { return inner_->max_parallelism(); }
+  Status Deploy(const std::vector<int>& parallelism) override {
+    Status st = inner_->Deploy(parallelism);
+    if (st.ok()) deployed.push_back(parallelism);
+    return st;
+  }
+  Result<sim::JobMetrics> Measure() override { return inner_->Measure(); }
+  const std::vector<int>& parallelism() const override {
+    return inner_->parallelism();
+  }
+  void ScaleAllSources(double factor) override {
+    inner_->ScaleAllSources(factor);
+  }
+  std::vector<double> current_source_rates() const override {
+    return inner_->current_source_rates();
+  }
+  int reconfiguration_count() const override {
+    return inner_->reconfiguration_count();
+  }
+  int deployment_count() const override { return inner_->deployment_count(); }
+  double virtual_minutes() const override { return inner_->virtual_minutes(); }
+  void ResetCounters() override { inner_->ResetCounters(); }
+  void AdvanceVirtualMinutes(double minutes) override {
+    inner_->AdvanceVirtualMinutes(minutes);
+  }
+  std::vector<int> OracleParallelism() const override {
+    return inner_->OracleParallelism();
+  }
+
+  std::vector<std::vector<int>> deployed;
+
+ private:
+  sim::StreamEngine* inner_;
+};
 
 void DeployOnesWithRetry(sim::StreamEngine* engine) {
   std::vector<int> ones(engine->graph().num_operators(), 1);
@@ -149,6 +192,61 @@ TEST_F(TunerRobustnessTest, StreamTuneSurvivesAndConvergesClean) {
     EXPECT_LE(run.outcome.reconfigurations,
               2 * std::max(1, clean.value().reconfigurations))
         << "seed " << seed;
+  }
+}
+
+TEST_F(TunerRobustnessTest, StreamTuneNeverRollsBackTheSameDeploymentTwice) {
+  // Nexmark Q3 on a small Nexmark KB: under these plans a rollback that
+  // dropped the regressed probe's evidence re-recommended the same probe
+  // until the iteration budget ran out. (The PQP suite bundle never rolls
+  // back.)
+  std::vector<JobGraph> jobs;
+  for (auto q : workloads::AllNexmarkQueries()) {
+    jobs.push_back(workloads::BuildNexmarkJob(q, workloads::Engine::kFlink));
+  }
+  core::HistoryOptions hist;
+  hist.samples_per_job = 6;
+  hist.seed = 5;
+  core::PretrainOptions pre;
+  pre.k = 2;
+  pre.epochs = 4;
+  auto trained = core::Pretrainer(pre).Run(core::CollectHistory(jobs, hist));
+  ASSERT_TRUE(trained.ok());
+  auto bundle = std::make_shared<core::PretrainedBundle>(std::move(*trained));
+
+  sim::FaultPlan corrupt;
+  corrupt.seed = 42;
+  corrupt.metric_corruption_prob = 0.2;
+  const JobGraph job = workloads::BuildNexmarkJob(workloads::NexmarkQuery::kQ3,
+                                                  workloads::Engine::kFlink);
+  for (const sim::FaultPlan& plan : {sim::FaultPlan::Standard(42), corrupt}) {
+    for (double rate : {4.0, 6.0, 8.0}) {
+      sim::SimConfig cfg;
+      cfg.noise_seed = 7;  // streamtune_cli tune's engine
+      sim::FlinkEngine inner(
+          job, sim::PerfModel(job, workloads::CostConfigFor(job)), cfg);
+      sim::ChaosEngine chaos(&inner, plan);
+      RecordingEngine engine(&chaos);
+      DeployOnesWithRetry(&engine);
+      engine.ScaleAllSources(rate);
+      core::StreamTuneTuner tuner(bundle);
+      auto session = tuner.NewSession(&engine);
+      ASSERT_TRUE(session.ok());
+      std::set<std::vector<int>> rolled_back;
+      for (bool stopped = false; !stopped;) {
+        const size_t before = engine.deployed.size();
+        auto step = (*session)->Step();
+        ASSERT_TRUE(step.ok());
+        stopped = *step;
+        // A Step with two successful deploys rolled its first one back.
+        if (engine.deployed.size() == before + 2) {
+          EXPECT_TRUE(rolled_back.insert(engine.deployed[before]).second)
+              << "corruption " << plan.metric_corruption_prob << " rate "
+              << rate << ": a deployment was rolled back twice";
+        }
+      }
+      ASSERT_TRUE((*session)->Finish().ok());
+    }
   }
 }
 
