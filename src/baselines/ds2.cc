@@ -49,7 +49,7 @@ std::vector<int> Ds2Tuner::Recommend(const sim::StreamEngine& engine,
     // DS2's core: true rate = processed / useful time, assumed linear in p.
     double true_rate = m.input_rate / m.useful_time_frac_observed;
     double per_instance = true_rate / p_cur[v];
-    double needed = options_.headroom * target_in[v] / per_instance;
+    double needed = target_in[v] / per_instance;
     rec[v] = static_cast<int>(
         std::clamp(std::ceil(needed - 1e-9), 1.0,
                    static_cast<double>(p_max)));

@@ -23,9 +23,6 @@ namespace streamtune::baselines {
 /// Options for the DS2 tuner.
 struct Ds2Options {
   int max_iterations = 10;
-  /// Safety headroom multiplied onto target rates (DS2 uses none by
-  /// default; kept configurable for ablations).
-  double headroom = 1.0;
 };
 
 /// Target (unthrottled) input rate of every operator: the sources' desired

@@ -6,6 +6,7 @@
 
 #include "common/math_util.h"
 #include "common/thread_pool.h"
+#include "core/serialization.h"
 
 namespace streamtune::core {
 
@@ -137,6 +138,9 @@ std::vector<ml::LabeledSample> PretrainedBundle::WarmUpDataset(
 Result<PretrainedBundle> Pretrainer::Run(
     std::vector<HistoryRecord> records) const {
   if (records.empty()) return Status::InvalidArgument("empty corpus");
+  for (const HistoryRecord& rec : records) {
+    ST_RETURN_NOT_OK(ValidateHistoryRecord(rec));
+  }
 
   FeatureEncoder feature_encoder;
 

@@ -113,8 +113,8 @@ class Pretrainer {
  public:
   explicit Pretrainer(PretrainOptions options = {}) : options_(options) {}
 
-  /// Trains and returns the bundle. Requires a non-empty corpus with at
-  /// least one labeled operator.
+  /// Trains and returns the bundle. Requires a non-empty corpus of records
+  /// that pass ValidateHistoryRecord, with at least one labeled operator.
   Result<PretrainedBundle> Run(std::vector<HistoryRecord> records) const;
 
  private:

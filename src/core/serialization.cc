@@ -274,12 +274,15 @@ Status ValidateGraphNames(const JobGraph& graph) {
   return Status::OK();
 }
 
-namespace {
-
-// The values a history record may hold: ReadHistoryRecord rejects any
-// other, and the writers refuse them before writing anything.
 Status ValidateHistoryRecord(const HistoryRecord& rec) {
+  ST_RETURN_NOT_OK(rec.graph.Validate());
   ST_RETURN_NOT_OK(ValidateGraphNames(rec.graph));
+  const size_t n = static_cast<size_t>(rec.graph.num_operators());
+  if (rec.parallelism.size() != n || rec.source_rates.size() != n ||
+      rec.labels.size() != n) {
+    return Status::InvalidArgument(
+        "history record vectors do not match operator count");
+  }
   for (int p : rec.parallelism) {
     if (p < 1) return Status::InvalidArgument("parallelism must be >= 1");
   }
@@ -288,13 +291,14 @@ Status ValidateHistoryRecord(const HistoryRecord& rec) {
       return Status::InvalidArgument("source rate must be finite and >= 0");
     }
   }
+  for (int l : rec.labels) {
+    if (l < -1 || l > 1) return Status::InvalidArgument("label out of range");
+  }
   if (!std::isfinite(rec.job_cost)) {
     return Status::InvalidArgument("job cost must be finite");
   }
   return Status::OK();
 }
-
-}  // namespace
 
 void WriteHistoryRecord(std::ostream& os, const HistoryRecord& rec) {
   WriteJobGraph(os, rec.graph);

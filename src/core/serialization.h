@@ -77,6 +77,13 @@ Status ValidateGraphNames(const JobGraph& graph);
 
 // ---- Histories ------------------------------------------------------------
 
+/// The values a history record may hold: a valid DAG with round-trippable
+/// names, one degree >= 1, finite rate >= 0 and label in {-1, 0, 1} per
+/// operator, and a finite cost. The history readers reject any other
+/// record, and the writers, KbUpdater::Admit and Pretrainer::Run refuse
+/// one before using it.
+Status ValidateHistoryRecord(const HistoryRecord& rec);
+
 /// Writes one history record block (graph + parallelism + rates + labels +
 /// cost) to `os`.
 void WriteHistoryRecord(std::ostream& os, const HistoryRecord& rec);

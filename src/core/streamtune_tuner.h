@@ -129,6 +129,10 @@ class StreamTuneTuner : public baselines::Tuner {
   const std::vector<ml::LabeledSample>& FeedbackFor(
       const std::string& job) const;
 
+  /// FIFO bound on one job's feedback, here and in the knowledge base:
+  /// long schedules cannot grow the fit unboundedly.
+  static constexpr size_t kMaxAccumulatedSamples = 1500;
+
  private:
   /// Minimum p in [1, p_max] with P(bottleneck) below the threshold; p_max
   /// if none qualifies. Binary search (monotonic models) — the same search
@@ -142,8 +146,7 @@ class StreamTuneTuner : public baselines::Tuner {
   StreamTuneOptions options_;
 
   /// Per-job feedback collected across tuning processes (keyed by job
-  /// name); bounded so long schedules cannot grow the fit unboundedly.
-  static constexpr size_t kMaxAccumulatedSamples = 1500;
+  /// name), bounded by kMaxAccumulatedSamples.
   std::map<std::string, std::vector<ml::LabeledSample>> accumulated_;
 };
 

@@ -4,31 +4,12 @@
 #include <utility>
 
 #include "core/serialization.h"
+#include "core/streamtune_tuner.h"
 #include "graph/ged_kmeans.h"
 
 namespace streamtune::kb {
 
 namespace {
-
-Status ValidateRecord(const core::HistoryRecord& rec) {
-  ST_RETURN_NOT_OK(rec.graph.Validate());
-  ST_RETURN_NOT_OK(core::ValidateGraphNames(rec.graph));
-  const size_t n = static_cast<size_t>(rec.graph.num_operators());
-  if (rec.parallelism.size() != n || rec.source_rates.size() != n ||
-      rec.labels.size() != n) {
-    return Status::InvalidArgument(
-        "admission record vectors do not match operator count");
-  }
-  for (int p : rec.parallelism) {
-    if (p < 1) return Status::InvalidArgument("parallelism degree < 1");
-  }
-  for (int l : rec.labels) {
-    if (l < -1 || l > 1) {
-      return Status::InvalidArgument("label out of range");
-    }
-  }
-  return Status::OK();
-}
 
 /// Appends `extra` to `acc` and keeps only the newest `cap` entries.
 template <typename T>
@@ -45,7 +26,7 @@ void AppendBounded(std::vector<T>* acc, const std::vector<T>& extra,
 Result<AdmissionOutcome> KbUpdater::Admit(KnowledgeBase* kb,
                                           const AdmissionRecord& rec) const {
   ST_RETURN_NOT_OK(ValidateKb(*kb));
-  ST_RETURN_NOT_OK(ValidateRecord(rec.record));
+  ST_RETURN_NOT_OK(core::ValidateHistoryRecord(rec.record));
   const core::PretrainedBundle& old = *kb->bundle;
   ST_RETURN_NOT_OK(ValidateFeedback(old, rec.feedback));
 
@@ -85,7 +66,8 @@ Result<AdmissionOutcome> KbUpdater::Admit(KnowledgeBase* kb,
 
   JobKnowledge& job = kb->jobs[rec.record.graph.name()];
   job.admissions += 1;
-  AppendBounded(&job.feedback, rec.feedback, options_.max_feedback_per_job);
+  AppendBounded(&job.feedback, rec.feedback,
+                core::StreamTuneTuner::kMaxAccumulatedSamples);
   return outcome;
 }
 

@@ -37,8 +37,6 @@ struct KbUpdateOptions {
   /// Alternative trigger: this many drifted admissions since the last
   /// pre-training force a re-pretrain regardless of growth.
   int drifted_trigger = 3;
-  /// FIFO bound for the per-job fine-tune samples.
-  size_t max_feedback_per_job = 1500;
   /// Settings for drift-triggered re-pre-training (epochs, k, threads...).
   core::PretrainOptions pretrain;
 };
@@ -67,8 +65,9 @@ class KbUpdater {
   KbUpdater(KbUpdateOptions options, graph::GedCache* cache)
       : options_(options), cache_(cache) {}
 
-  /// Admits one session into `kb`: validates the record and its feedback
-  /// (ValidateFeedback), assigns the nearest cluster by a GED scan over the
+  /// Admits one session into `kb`: validates the record
+  /// (core::ValidateHistoryRecord) and its feedback (ValidateFeedback),
+  /// assigns the nearest cluster by a GED scan over the
   /// bundle's centers, appends to the corpus (replacing kb->bundle with a
   /// new one sharing the existing cluster models), and accumulates the
   /// per-job artifacts. Does NOT re-pretrain; check NeedsRepretrain.

@@ -8,6 +8,9 @@
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -162,6 +165,24 @@ TEST(KbServiceTest, RejectsMalformedAdmission) {
   EXPECT_FALSE((*service)->Admit(bad_label).ok());
   // Nothing was published.
   EXPECT_EQ((*service)->Snapshot()->version(), 0);
+}
+
+TEST(KbServiceTest, AdmitRejectsNonFiniteRecord) {
+  auto service = KbService::Build(SampleCorpus(), SmallOptions());
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  JobGraph q5 = workloads::BuildNexmarkJob(workloads::NexmarkQuery::kQ5,
+                                           workloads::Engine::kFlink);
+  AdmissionRecord nan_rate = MakeAdmission(q5, 83);
+  nan_rate.record.source_rates[0] = std::nan("");
+  EXPECT_FALSE((*service)->Admit(nan_rate).ok());
+  AdmissionRecord inf_cost = MakeAdmission(q5, 84);
+  inf_cost.record.job_cost = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE((*service)->Admit(inf_cost).ok());
+  EXPECT_EQ((*service)->Snapshot()->version(), 0);
+  // The KB stays savable.
+  const std::string path = ::testing::TempDir() + "kb_nonfinite.stkb";
+  EXPECT_TRUE((*service)->Save(path).ok());
+  std::remove(path.c_str());
 }
 
 TEST(KbServiceTest, AdmitRejectsUnfittableFeedback) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/history.h"
 #include "core/pretrain.h"
 #include "workloads/pqp.h"
@@ -32,6 +34,14 @@ PretrainOptions FastOptions() {
 TEST(PretrainTest, RejectsEmptyCorpus) {
   Pretrainer pretrainer(FastOptions());
   EXPECT_FALSE(pretrainer.Run({}).ok());
+}
+
+TEST(PretrainTest, RejectsNonFiniteRecord) {
+  std::vector<HistoryRecord> corpus = SmallCorpus();
+  corpus[3].source_rates[0] = std::nan("");
+  auto bundle = Pretrainer(FastOptions()).Run(corpus);
+  ASSERT_FALSE(bundle.ok());
+  EXPECT_EQ(bundle.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(PretrainTest, ProducesRequestedClusters) {

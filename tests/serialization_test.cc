@@ -303,6 +303,16 @@ TEST(SerializationTest, HistoryRejectsNonFiniteOrNegativeRates) {
   ExpectSaveRefused(bad, "save_rates");
 }
 
+TEST(SerializationTest, SaveHistoryRefusesMalformedRecord) {
+  const HistoryRecord rec = SampleCorpus()[0];
+  HistoryRecord short_rates = rec;
+  short_rates.source_rates.pop_back();  // wrong operator count
+  ExpectSaveRefused(short_rates, "save_short_rates");
+  HistoryRecord bad_label = rec;
+  bad_label.labels[0] = 2;
+  ExpectSaveRefused(bad_label, "save_label");
+}
+
 TEST(SerializationTest, HistoryRejectsNonFiniteCost) {
   const HistoryRecord rec = SampleCorpus()[0];
   for (const char* bad : {"nan", "inf", "-inf"}) {
