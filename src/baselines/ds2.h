@@ -43,8 +43,7 @@ using RateRule = std::function<std::vector<int>(const sim::StreamEngine&,
 /// caller error, e.g. never deployed).
 class RateRuleSession : public TuningSession {
  public:
-  RateRuleSession(RateRule rule, int max_iterations,
-                  sim::StreamEngine* engine);
+  RateRuleSession(RateRule rule, int max_iterations, sim::StreamEngine* engine);
 
   Result<bool> Step() override;
 

@@ -74,7 +74,7 @@ class RobustLoop {
   const double minutes_before_;
   /// Engine calls re-attempted after a transient failure.
   int retries_ = 0;
-  /// Samples that failed validation.
+  /// Samples rejected as invalid or stale.
   int rejected_ = 0;
   int rollbacks_ = 0;
   std::vector<int> known_good_;

@@ -67,10 +67,10 @@ class KbUpdater {
 
   /// Admits one session into `kb`: validates the record
   /// (core::ValidateHistoryRecord) and its feedback (ValidateFeedback),
-  /// assigns the nearest cluster by a GED scan over the
-  /// bundle's centers, appends to the corpus (replacing kb->bundle with a
-  /// new one sharing the existing cluster models), and accumulates the
-  /// per-job artifacts. Does NOT re-pretrain; check NeedsRepretrain.
+  /// assigns the nearest cluster by a GED scan over the bundle's centers,
+  /// appends to the corpus (replacing kb->bundle with a new one sharing the
+  /// existing cluster models), and accumulates the per-job artifacts. Does
+  /// NOT re-pretrain; check NeedsRepretrain.
   Result<AdmissionOutcome> Admit(KnowledgeBase* kb,
                                  const AdmissionRecord& rec) const;
 

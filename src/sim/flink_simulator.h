@@ -56,9 +56,10 @@ struct JobMetrics {
   double used_cores = 0;
 
   /// Checks physical invariants (finite values, fractions in [0,1], non-
-  /// negative rates, lambda in (0,1]) — the first line of defense against
-  /// corrupted metric samples. Implemented in sim/metrics_sanitizer.cc.
-  Status Validate(double tolerance = 1e-6) const;
+  /// negative rates, lambda in (0,1], each up to 1e-6 of floating-point
+  /// dust) — the first line of defense against corrupted metric samples.
+  /// Implemented in sim/metrics_sanitizer.cc.
+  Status Validate() const;
 };
 
 /// Simulator knobs.

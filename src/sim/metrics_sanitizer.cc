@@ -10,6 +10,9 @@ namespace streamtune::sim {
 
 namespace {
 
+/// Slack allowed on the invariants (floating-point dust).
+constexpr double kTolerance = 1e-6;
+
 bool FiniteInRange(double x, double lo, double hi) {
   return std::isfinite(x) && x >= lo && x <= hi;
 }
@@ -33,12 +36,12 @@ bool Majority(const std::vector<bool>& xs) {
 
 }  // namespace
 
-Status JobMetrics::Validate(double tolerance) const {
-  if (!std::isfinite(lambda) || lambda <= 0 || lambda > 1.0 + tolerance) {
+Status JobMetrics::Validate() const {
+  if (!std::isfinite(lambda) || lambda <= 0 || lambda > 1.0 + kTolerance) {
     return Status::OutOfRange("corrupt metric sample: lambda = " +
                               std::to_string(lambda));
   }
-  if (!std::isfinite(used_cores) || used_cores < -tolerance) {
+  if (!std::isfinite(used_cores) || used_cores < -kTolerance) {
     return Status::OutOfRange("corrupt metric sample: used_cores = " +
                               std::to_string(used_cores));
   }
@@ -50,26 +53,26 @@ Status JobMetrics::Validate(double tolerance) const {
   for (size_t i = 0; i < ops.size(); ++i) {
     const int v = static_cast<int>(i);
     const OperatorMetrics& om = ops[i];
-    if (!FiniteInRange(om.busy_frac, -tolerance, 1.0 + tolerance)) {
+    if (!FiniteInRange(om.busy_frac, -kTolerance, 1.0 + kTolerance)) {
       return BadOp(v, "busy_frac", om.busy_frac);
     }
-    if (!FiniteInRange(om.idle_frac, -tolerance, 1.0 + tolerance)) {
+    if (!FiniteInRange(om.idle_frac, -kTolerance, 1.0 + kTolerance)) {
       return BadOp(v, "idle_frac", om.idle_frac);
     }
-    if (!FiniteInRange(om.backpressured_frac, -tolerance, 1.0 + tolerance)) {
+    if (!FiniteInRange(om.backpressured_frac, -kTolerance, 1.0 + kTolerance)) {
       return BadOp(v, "backpressured_frac", om.backpressured_frac);
     }
-    if (!FiniteInRange(om.cpu_load, -tolerance, 1.0 + tolerance)) {
+    if (!FiniteInRange(om.cpu_load, -kTolerance, 1.0 + kTolerance)) {
       return BadOp(v, "cpu_load", om.cpu_load);
     }
-    if (!std::isfinite(om.input_rate) || om.input_rate < -tolerance) {
+    if (!std::isfinite(om.input_rate) || om.input_rate < -kTolerance) {
       return BadOp(v, "input_rate", om.input_rate);
     }
-    if (!std::isfinite(om.output_rate) || om.output_rate < -tolerance) {
+    if (!std::isfinite(om.output_rate) || om.output_rate < -kTolerance) {
       return BadOp(v, "output_rate", om.output_rate);
     }
     if (!std::isfinite(om.desired_input_rate) ||
-        om.desired_input_rate < -tolerance) {
+        om.desired_input_rate < -kTolerance) {
       return BadOp(v, "desired_input_rate", om.desired_input_rate);
     }
     // Tuners divide by useful time; zero or negative readings would turn
