@@ -4,6 +4,8 @@
 #include <cmath>
 #include <limits>
 
+#include "baselines/robust_loop.h"
+
 namespace streamtune::baselines {
 
 ZeroTuneTuner::ZeroTuneTuner(ZeroTuneOptions options)

@@ -14,7 +14,6 @@
 #include <memory>
 #include <vector>
 
-#include "baselines/robust_loop.h"
 #include "baselines/tuner.h"
 #include "dataflow/feature_encoder.h"
 #include "ml/gnn.h"

@@ -266,10 +266,10 @@ Result<bool> StreamTuneTuner::Session::Step() {
   if (metrics.job_backpressure) ++outcome_.backpressure_events;
   if (loop_.MaybeRollback(metrics)) {
     // The regressed deployment was replaced by the last known-good one.
-    // Its labels still pin the bracket, so the next iteration does not
-    // recommend the same probe again; they stay out of M_f's dataset.
-    // Refresh the observation so the next iteration labels the restored
-    // configuration.
+    // Its labels still pin the bracket (a bottleneck it exposed raises
+    // that operator's lower bound, so the refit does not recommend the
+    // same probe again) but stay out of M_f's dataset. Refresh the
+    // observation so the next iteration labels the restored configuration.
     pin_bracket(LabelBottlenecks(engine->graph(), metrics));
     Result<sim::JobMetrics> restored = loop_.Measure();
     if (!restored.ok()) {
