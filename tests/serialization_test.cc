@@ -303,7 +303,7 @@ TEST(SerializationTest, HistoryRejectsNonFiniteOrNegativeRates) {
   ExpectSaveRefused(bad, "save_rates");
 }
 
-TEST(SerializationTest, SaveHistoryRefusesMalformedRecord) {
+TEST(SerializationTest, WritersRefuseMalformedHistoryRecord) {
   const HistoryRecord rec = SampleCorpus()[0];
   HistoryRecord short_rates = rec;
   short_rates.source_rates.pop_back();  // wrong operator count
@@ -311,6 +311,19 @@ TEST(SerializationTest, SaveHistoryRefusesMalformedRecord) {
   HistoryRecord bad_label = rec;
   bad_label.labels[0] = 2;
   ExpectSaveRefused(bad_label, "save_label");
+
+  // The bundle writer checks its corpus records the same way.
+  const PretrainedBundle bundle = SmallBundle();
+  std::vector<ClusterModel> clusters;
+  for (int c = 0; c < bundle.num_clusters(); ++c) {
+    clusters.push_back(bundle.cluster(c));
+  }
+  std::vector<HistoryRecord> records = bundle.records();
+  records[0].labels[0] = 2;
+  const PretrainedBundle bad(std::move(clusters), std::move(records),
+                             bundle.feature_encoder());
+  std::ostringstream os;
+  EXPECT_FALSE(WriteBundleBody(os, bad).ok());
 }
 
 TEST(SerializationTest, HistoryRejectsNonFiniteCost) {
