@@ -389,7 +389,7 @@ TEST(RobustLoopTest, OneRetriedDeployClampsEachStepToFourfold) {
   const int n = engine.graph().num_operators();
   baselines::RobustLoop loop(&engine);
   engine.FailDeploys(1, Status::Unavailable("injected"));
-  std::vector<int> cur(n, 1);
+  std::vector<int> cur(n);
   for (int v = 0; v < n; ++v) cur[v] = 1 + 3 * v;  // 1, 4, 7, ...
   ASSERT_TRUE(loop.Deploy(cur).ok());
   EXPECT_TRUE(loop.hardened());
