@@ -1,15 +1,14 @@
-// Offline pre-training pipeline speedup: serial/uncached baseline (the
-// pre-concurrency pipeline) versus the thread-pool + GED-memo pipeline.
+// Offline pre-training clustering: the uncached pipeline versus the
+// GED-memo pipeline, both serial.
 //
 // Measures the GED-dominated offline phase the paper benchmarks in Fig. 9b:
 // SelectKByElbow over [2, 6] followed by the final ClusterDags at the chosen
 // k, on a >= 60-graph corpus (all 56 PQP variants + random DAGs). Verifies
-// the optimized run is bit-identical to the baseline (same assignments,
-// centers and selected k) and emits BENCH_pretrain.json so the perf
-// trajectory is tracked across PRs.
+// the cached run is identical to the uncached one (same assignments,
+// centers and selected k; exit 1 otherwise) and emits BENCH_pretrain.json
+// so the perf trajectory is tracked across PRs.
 //
 // Environment knobs:
-//   ST_BENCH_THREADS  thread count for the parallel run (default 4).
 //   ST_BENCH_GRAPHS   corpus size (default 64, minimum 60 enforced).
 
 #include <chrono>
@@ -48,13 +47,10 @@ struct RunOutcome {
   graph::GedCache::Stats elbow_stats;
 };
 
-RunOutcome RunPipeline(const std::vector<JobGraph>& corpus, int num_threads,
-                       bool use_cache) {
+RunOutcome RunPipeline(const std::vector<JobGraph>& corpus, bool use_cache) {
   RunOutcome out;
   graph::GedCache cache;
   graph::KMeansOptions opts;
-  opts.num_threads = num_threads;
-  opts.use_cache = use_cache;
   if (use_cache) opts.cache = &cache;
 
   double t0 = NowMs();
@@ -84,7 +80,6 @@ RunOutcome RunPipeline(const std::vector<JobGraph>& corpus, int num_threads,
 }  // namespace
 
 int main() {
-  const int threads = EnvInt("ST_BENCH_THREADS", 4);
   const int target = std::max(60, EnvInt("ST_BENCH_GRAPHS", 64));
 
   // Corpus: every PQP variant (8 + 16 + 32 = 56) topped up with random
@@ -99,33 +94,32 @@ int main() {
     corpus.push_back(workloads::GenerateRandomDag(&rng, rcfg));
     corpus.back().set_name("random-" + std::to_string(extra++));
   }
-  std::printf("corpus: %zu graphs; parallel run: %d threads\n", corpus.size(),
-              threads);
+  std::printf("corpus: %zu graphs\n", corpus.size());
 
-  std::printf("[1/2] serial baseline (1 thread, no cache)...\n");
-  RunOutcome serial = RunPipeline(corpus, 1, /*use_cache=*/false);
+  std::printf("[1/2] uncached baseline...\n");
+  RunOutcome uncached = RunPipeline(corpus, /*use_cache=*/false);
   std::printf("      elbow %.0f ms + final clustering %.0f ms (k = %d)\n",
-              serial.elbow_ms, serial.cluster_ms, serial.k);
+              uncached.elbow_ms, uncached.cluster_ms, uncached.k);
 
-  std::printf("[2/2] optimized (%d threads, GED memo cache)...\n", threads);
-  RunOutcome parallel = RunPipeline(corpus, threads, /*use_cache=*/true);
+  std::printf("[2/2] GED memo cache...\n");
+  RunOutcome cached = RunPipeline(corpus, /*use_cache=*/true);
   std::printf("      elbow %.0f ms + final clustering %.0f ms (k = %d)\n",
-              parallel.elbow_ms, parallel.cluster_ms, parallel.k);
+              cached.elbow_ms, cached.cluster_ms, cached.k);
 
   const bool identical =
-      serial.k == parallel.k &&
-      serial.clustering.assignment == parallel.clustering.assignment &&
-      serial.clustering.center_indices == parallel.clustering.center_indices;
+      uncached.k == cached.k &&
+      uncached.clustering.assignment == cached.clustering.assignment &&
+      uncached.clustering.center_indices == cached.clustering.center_indices;
 
-  const double serial_ms = serial.elbow_ms + serial.cluster_ms;
-  const double parallel_ms = parallel.elbow_ms + parallel.cluster_ms;
-  const double speedup = parallel_ms > 0 ? serial_ms / parallel_ms : 0;
-  const graph::GedCache::Stats& st = parallel.elbow_stats;
+  const double uncached_ms = uncached.elbow_ms + uncached.cluster_ms;
+  const double cached_ms = cached.elbow_ms + cached.cluster_ms;
+  const double speedup = cached_ms > 0 ? uncached_ms / cached_ms : 0;
+  const graph::GedCache::Stats& st = cached.elbow_stats;
 
   std::printf(
       "\nspeedup: %.2fx (%.0f ms -> %.0f ms), elbow cache hit rate %.1f%% "
       "(%llu hits / %llu misses), results identical: %s\n",
-      speedup, serial_ms, parallel_ms, 100.0 * st.HitRate(),
+      speedup, uncached_ms, cached_ms, 100.0 * st.HitRate(),
       static_cast<unsigned long long>(st.hits),
       static_cast<unsigned long long>(st.misses),
       identical ? "yes" : "NO (BUG)");
@@ -137,24 +131,23 @@ int main() {
         "{\n"
         "  \"host\": %s,\n"
         "  \"corpus_graphs\": %zu,\n"
-        "  \"threads\": %d,\n"
         "  \"selected_k\": %d,\n"
-        "  \"serial_elbow_ms\": %.1f,\n"
-        "  \"serial_cluster_ms\": %.1f,\n"
-        "  \"parallel_elbow_ms\": %.1f,\n"
-        "  \"parallel_cluster_ms\": %.1f,\n"
-        "  \"serial_total_ms\": %.1f,\n"
-        "  \"parallel_total_ms\": %.1f,\n"
+        "  \"uncached_elbow_ms\": %.1f,\n"
+        "  \"uncached_cluster_ms\": %.1f,\n"
+        "  \"cached_elbow_ms\": %.1f,\n"
+        "  \"cached_cluster_ms\": %.1f,\n"
+        "  \"uncached_total_ms\": %.1f,\n"
+        "  \"cached_total_ms\": %.1f,\n"
         "  \"speedup\": %.3f,\n"
         "  \"elbow_cache_hits\": %llu,\n"
         "  \"elbow_cache_misses\": %llu,\n"
         "  \"elbow_cache_hit_rate\": %.4f,\n"
         "  \"identical_results\": %s\n"
         "}\n",
-        bench::HostInfoJson().c_str(), corpus.size(), threads, parallel.k,
-        serial.elbow_ms,
-        serial.cluster_ms, parallel.elbow_ms, parallel.cluster_ms, serial_ms,
-        parallel_ms, speedup, static_cast<unsigned long long>(st.hits),
+        bench::HostInfoJson().c_str(), corpus.size(), cached.k,
+        uncached.elbow_ms, uncached.cluster_ms, cached.elbow_ms,
+        cached.cluster_ms, uncached_ms, cached_ms, speedup,
+        static_cast<unsigned long long>(st.hits),
         static_cast<unsigned long long>(st.misses), st.HitRate(),
         identical ? "true" : "false");
     std::fclose(f);

@@ -7,6 +7,7 @@
 #include "common/math_util.h"
 #include "common/thread_pool.h"
 #include "core/serialization.h"
+#include "graph/ged_kmeans.h"
 
 namespace streamtune::core {
 
@@ -175,10 +176,9 @@ Result<PretrainedBundle> Pretrainer::Run(
   int num_clusters = 1;
   graph::GedCache ged_cache;  // shared across the elbow sweep + final run
   if (options_.use_clustering && unique_graphs.size() > 1) {
-    graph::KMeansOptions km = options_.kmeans;
+    graph::KMeansOptions km;
     km.seed = options_.seed;
-    km.num_threads = options_.num_threads;
-    if (km.use_cache && km.cache == nullptr) km.cache = &ged_cache;
+    km.cache = &ged_cache;
     int k = options_.k;
     if (k <= 0) {
       int hi = std::min<int>(options_.max_k,

@@ -14,7 +14,6 @@
 
 #include "core/history.h"
 #include "dataflow/feature_encoder.h"
-#include "graph/ged_kmeans.h"
 #include "ml/bottleneck_model.h"
 #include "ml/gnn.h"
 #include "ml/nn.h"
@@ -29,17 +28,15 @@ struct PretrainOptions {
   /// Number of clusters; 0 = choose with the elbow method over [2, max_k].
   int k = 0;
   int max_k = 5;
-  graph::KMeansOptions kmeans;
   int hidden_dim = 32;
   int gnn_layers = 3;
   int epochs = 30;
   double learning_rate = 3e-3;
   uint64_t seed = 13;
-  /// Worker threads for the offline pipeline (clustering + per-cluster
-  /// training). 0 = hardware_concurrency, 1 = the old serial behaviour.
-  /// Overrides `kmeans.num_threads`. Every per-cluster RNG stream is drawn
-  /// up front in cluster order, so trained weights are bit-identical for
-  /// any thread count.
+  /// Worker threads for per-cluster training (clustering runs serially).
+  /// 0 = hardware_concurrency, 1 = serial. Every per-cluster RNG stream is
+  /// drawn up front in cluster order, so trained weights are bit-identical
+  /// for any thread count.
   int num_threads = 0;
 };
 

@@ -482,24 +482,4 @@ std::vector<EditOp> ExplainEdits(const JobGraph& g1, const JobGraph& g2,
   return edits;
 }
 
-bool GedWithinThreshold(const JobGraph& g1, const JobGraph& g2, double tau,
-                        const GedOptions& options, GedResult* result) {
-  // Cheap screens first (the "filtering" phase).
-  if (LabelSetLowerBound(g1, g2) > tau + 1e-9) {
-    if (result != nullptr) {
-      *result = GedResult{};
-      result->distance = StructuralGedUpperBound(g1, g2);
-      result->exact = false;
-      result->termination = GedTermination::kPruned;
-    }
-    return false;
-  }
-  GedOptions opts = options;
-  opts.threshold = tau;
-  opts.use_lower_bound = true;
-  GedResult r = ComputeGed(g1, g2, opts);
-  if (result != nullptr) *result = r;
-  return r.exact && r.distance <= tau + 1e-9;
-}
-
 }  // namespace streamtune::graph

@@ -27,8 +27,8 @@ namespace streamtune::graph {
 /// out of budget": a threshold search that *completed* certifies
 /// ged > threshold, while a budget-exhausted one proves nothing beyond its
 /// upper bound — the cache must never turn the latter into a certificate,
-/// and callers (e.g. GedWithinThreshold users) can observe exhaustion
-/// instead of silently reading it as "dissimilar".
+/// and threshold callers can observe exhaustion instead of silently reading
+/// it as "dissimilar".
 enum class GedTermination {
   /// Search completed and `distance` is the true GED.
   kExact = 0,
@@ -100,17 +100,6 @@ struct GedOptions {
 /// Computes (or bounds) the GED between two valid DAGs.
 GedResult ComputeGed(const JobGraph& g1, const JobGraph& g2,
                      const GedOptions& options = {});
-
-/// True iff ged(g1, g2) <= tau, using threshold-pruned search; much cheaper
-/// than an exact computation when the answer is "no". If the expansion
-/// budget is exhausted the pair is conservatively reported dissimilar —
-/// pass `result` to tell the two apart (termination == kBudget means
-/// "unknown", kPruned/kExact mean the boolean is proven). On the cheap
-/// lower-bound screen `result` carries a synthetic kPruned outcome with the
-/// trivial structural upper bound as its distance.
-bool GedWithinThreshold(const JobGraph& g1, const JobGraph& g2, double tau,
-                        const GedOptions& options = {},
-                        GedResult* result = nullptr);
 
 /// Cost of a specific complete node mapping (mapping[i] = g2 node for g1
 /// node i, or -1 for deletion); unmapped g2 nodes are insertions. Used for

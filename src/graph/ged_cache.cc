@@ -20,9 +20,8 @@ GedCache::Key GedCache::MakeKey(const JobGraph& a, const JobGraph& b) {
 
 void GedCache::Record(const Key& key, const GedResult& result,
                       const GedOptions& options) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  Entry& e = shard.map[key];
+  std::lock_guard<std::mutex> lock(mu_);
+  Entry& e = map_[key];
   if (result.exact) {
     e.has_exact = true;
     e.exact_distance = result.distance;
@@ -46,13 +45,12 @@ GedResult GedCache::Compute(const JobGraph& a, const JobGraph& b,
   const Key key = MakeKey(a, b);
   const bool thresholded = options.threshold >= 0;
   {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = map_.find(key);
+    if (it != map_.end()) {
       const Entry& e = it->second;
       if (e.has_exact) {
-        hits_exact_.fetch_add(1, std::memory_order_relaxed);
+        ++hits_exact_;
         GedResult r;
         r.distance = e.exact_distance;
         // Mirror a fresh search: in threshold mode a distance beyond tau is
@@ -63,68 +61,30 @@ GedResult GedCache::Compute(const JobGraph& a, const JobGraph& b,
       if (thresholded && options.threshold <= e.certified_gt + kEps) {
         // ged > certified_gt >= tau: a fresh search would prune; serve the
         // remembered upper bound (> tau by construction).
-        hits_certified_.fetch_add(1, std::memory_order_relaxed);
+        ++hits_certified_;
         GedResult r;
         r.distance = e.upper;
         r.exact = false;
         return r;
       }
     }
+    ++misses_;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  // AStar+-LSa-mode misses route through the per-pair policy; explicit
-  // direct-GED queries (the Fig. 11b ablation baseline) bypass it.
-  GedResult result = options.use_lower_bound
-                         ? PolicyComputeGed(a, b, options, &policy_)
-                         : ComputeGed(a, b, options);
+  GedResult result = PolicyComputeGed(a, b, options, &policy_);
   Record(key, result, options);
   return result;
 }
 
-bool GedCache::WithinThreshold(const JobGraph& a, const JobGraph& b,
-                               double tau, const GedOptions& options) {
-  const Key key = MakeKey(a, b);
-  {
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      const Entry& e = it->second;
-      if (e.has_exact) {
-        hits_exact_.fetch_add(1, std::memory_order_relaxed);
-        return e.exact_distance <= tau + kEps;
-      }
-      if (tau <= e.certified_gt + kEps) {
-        hits_certified_.fetch_add(1, std::memory_order_relaxed);
-        return false;
-      }
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  // Mirror GedWithinThreshold, recording what each phase proves.
-  if (LabelSetLowerBound(a, b) > tau + kEps) {
-    // The lower bound alone certifies ged > tau (independent of budget).
-    Shard& shard = ShardFor(key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    Entry& e = shard.map[key];
-    e.certified_gt = std::max(e.certified_gt, tau);
-    return false;
-  }
-  GedOptions opts = options;
-  opts.threshold = tau;
-  opts.use_lower_bound = true;
-  GedResult r = PolicyComputeGed(a, b, opts, &policy_);
-  Record(key, r, opts);
-  return r.exact && r.distance <= tau + kEps;
-}
-
 GedCache::Stats GedCache::stats() const {
   Stats s;
-  s.hits_exact = hits_exact_.load(std::memory_order_relaxed);
-  s.hits_certified = hits_certified_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    s.hits_exact = hits_exact_;
+    s.hits_certified = hits_certified_;
+    s.misses = misses_;
+    s.entries = static_cast<uint64_t>(map_.size());
+  }
   s.hits = s.hits_exact + s.hits_certified;
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.entries = static_cast<uint64_t>(size());
   // Read budget_exhausted before the choice counters: a search's choice is
   // counted before its termination, so sampling the result counter first
   // keeps `budget_exhausted <= policy_exact + policy_bounded` true in every
@@ -138,23 +98,25 @@ GedCache::Stats GedCache::stats() const {
 }
 
 size_t GedCache::size() const {
-  size_t n = 0;
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    n += shard.map.size();
-  }
-  return n;
+  std::lock_guard<std::mutex> lock(mu_);
+  return map_.size();
 }
 
 void GedCache::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.map.clear();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    map_.clear();
+    hits_exact_ = 0;
+    hits_certified_ = 0;
+    misses_ = 0;
   }
-  hits_exact_.store(0, std::memory_order_relaxed);
-  hits_certified_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
   policy_.Reset();
+}
+
+GedResult QueryGed(const JobGraph& a, const JobGraph& b,
+                   const GedOptions& options, GedCache* cache) {
+  return cache != nullptr ? cache->Compute(a, b, options)
+                          : PolicyComputeGed(a, b, options);
 }
 
 }  // namespace streamtune::graph

@@ -8,9 +8,9 @@
 // values (GED is a metric: ged(a, b) == ged(b, a)), so structurally
 // identical graphs share entries regardless of construction order.
 //
-// Caching policy — chosen so that answers are independent of the order in
-// which queries arrive, which is what makes the parallel k-means
-// bit-identical to the serial one:
+// Caching policy — chosen so that a served answer is what a fresh search
+// would report, which is what makes cached clustering identical to the
+// uncached one:
 //   - Exact distances are cached and served for any later query; the
 //     `exact` flag of a served result is re-derived against the query's own
 //     threshold, mirroring what a fresh search would report.
@@ -20,10 +20,12 @@
 //     its expansion budget), which answers any later query with a
 //     threshold <= tau, plus the incumbent as a reusable upper bound.
 //   - Budget-exhausted searches contribute their upper bound only.
+//
+// Clustering queries the cache from one thread. It stays thread-safe (one
+// mutex) because KbService samples stats() while an admission writes.
 
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <unordered_map>
@@ -35,7 +37,7 @@
 
 namespace streamtune::graph {
 
-/// Sharded-mutex memo table for ComputeGed / GedWithinThreshold.
+/// Memo table for PolicyComputeGed.
 class GedCache {
  public:
   GedCache() = default;
@@ -43,21 +45,18 @@ class GedCache {
   GedCache(const GedCache&) = delete;
   GedCache& operator=(const GedCache&) = delete;
 
-  /// Cached drop-in for ComputeGed. On a hit the result carries the true
+  /// Cached PolicyComputeGed. On a hit the result carries the true
   /// distance (or a certified bound, see above) with `expansions == 0` and
   /// an empty `mapping` — callers that need the edit path should use
-  /// ComputeGed directly.
+  /// ComputeGed directly. A threshold query (`options.threshold` set) finds
+  /// the pair within the threshold iff the result is exact and at most it.
   GedResult Compute(const JobGraph& a, const JobGraph& b,
                     const GedOptions& options = {});
 
-  /// Cached drop-in for GedWithinThreshold.
-  bool WithinThreshold(const JobGraph& a, const JobGraph& b, double tau,
-                       const GedOptions& options = {});
-
   /// Hit/miss counters (a hit = answered without running a search), split
-  /// by what kind of remembered answer served the hit. One consistent-ish
-  /// sample: counters are monotone but read individually (relaxed), so a
-  /// sample taken during concurrent queries may be mid-update by one.
+  /// by what kind of remembered answer served the hit. Hits, misses and
+  /// entries are one consistent sample; the policy counters are relaxed
+  /// atomics that a concurrent query may be mid-update on.
   struct Stats {
     /// Total hits (== hits_exact + hits_certified; kept as a field so
     /// long-standing callers keep reading `stats().hits`).
@@ -113,16 +112,7 @@ class GedCache {
     double upper;
     Entry();
   };
-  static constexpr int kNumShards = 16;
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<Key, Entry, KeyHash> map STREAMTUNE_GUARDED_BY(mu);
-  };
-
   static Key MakeKey(const JobGraph& a, const JobGraph& b);
-  Shard& ShardFor(const Key& key) {
-    return shards_[KeyHash{}(key) % kNumShards];
-  }
   // Folds a finished search result into the entry for `key`. Certificates
   // are keyed off GedTermination::kPruned — the only outcome that proves
   // "ged > threshold" (budget-exhausted and greedy-fallback results prove
@@ -130,12 +120,19 @@ class GedCache {
   void Record(const Key& key, const GedResult& result,
               const GedOptions& options);
 
-  Shard shards_[kNumShards];
-  std::atomic<uint64_t> hits_exact_{0};
-  std::atomic<uint64_t> hits_certified_{0};
-  std::atomic<uint64_t> misses_{0};
+  mutable std::mutex mu_;
+  std::unordered_map<Key, Entry, KeyHash> map_ STREAMTUNE_GUARDED_BY(mu_);
+  uint64_t hits_exact_ STREAMTUNE_GUARDED_BY(mu_) = 0;
+  uint64_t hits_certified_ STREAMTUNE_GUARDED_BY(mu_) = 0;
+  uint64_t misses_ STREAMTUNE_GUARDED_BY(mu_) = 0;
   /// Policy histogram + budget-exhaustion count for miss-path searches.
   GedPolicyCounters policy_;
 };
+
+/// The one GED query of the clustering code: served by `cache` when given,
+/// else by the uncached PolicyComputeGed. Both give the same exact
+/// distances and the same within-threshold answers.
+GedResult QueryGed(const JobGraph& a, const JobGraph& b,
+                   const GedOptions& options, GedCache* cache);
 
 }  // namespace streamtune::graph

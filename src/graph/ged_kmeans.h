@@ -8,41 +8,30 @@
 //     search and pruned against the best center found so far.
 // The elbow method selects k.
 //
-// Concurrency: the assignment step, farthest-point seeding, similarity-
-// center sweeps and the per-k elbow runs are data-parallel and execute on a
-// ThreadPool sized by KMeansOptions::num_threads. Pairwise distances are
-// memoized in a GedCache (shared across every elbow run). Both are designed
-// so results are bit-identical to the serial, uncached path — see DESIGN.md
-// "Concurrency model".
+// Every step runs serially. Pairwise distances are optionally memoized in a
+// GedCache (the Pretrainer shares one across every elbow run); results are
+// identical with and without it — see DESIGN.md "Concurrency model".
 
 #pragma once
 
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "dataflow/job_graph.h"
 #include "graph/ged_cache.h"
-#include "graph/similarity.h"
 
 namespace streamtune::graph {
 
-/// Clustering options.
+/// Clustering options. Similarity centers use AStar+-LSa search.
 struct KMeansOptions {
   int k = 3;
   int max_iterations = 10;
   /// GED threshold tau for similarity-center computation (paper uses 5).
   double center_tau = 5.0;
-  SearchMethod method = SearchMethod::kAStarLsa;
   uint64_t seed = 2024;
-  /// Worker threads for the data-parallel steps. 0 = hardware_concurrency,
-  /// 1 = the old serial behaviour. Results are identical for any value.
-  int num_threads = 0;
-  /// Memoize pairwise GEDs (repeated pairs across iterations / elbow runs
-  /// are answered in O(1)). Off reproduces the pre-cache pipeline exactly.
-  bool use_cache = true;
-  /// Optional externally owned memo table (e.g. shared across elbow runs);
-  /// when null and use_cache is set, each ClusterDags run uses its own.
+  /// Externally owned memo table for the pairwise GEDs (repeated pairs
+  /// across iterations and elbow runs are answered in O(1)); null runs
+  /// uncached.
   GedCache* cache = nullptr;
 };
 
@@ -74,8 +63,8 @@ int NearestCenter(const JobGraph& g, const std::vector<JobGraph>& centers,
                   GedCache* cache = nullptr);
 
 /// Elbow-method selection of k: runs ClusterDags for each k in
-/// [k_min, k_max] (in parallel, sharing one GedCache) and returns the k
-/// with the largest curvature (second difference) of the inertia curve.
+/// [k_min, k_max] (sharing base_options.cache) and returns the k with the
+/// largest curvature (second difference) of the inertia curve.
 /// Returns k_min immediately when the range has fewer than 3 points, since
 /// curvature is undefined there.
 Result<int> SelectKByElbow(const std::vector<JobGraph>& dataset, int k_min,

@@ -95,6 +95,7 @@ GedPolicy ChooseGedPolicy(const JobGraph& a, const JobGraph& b,
 GedResult PolicyComputeGed(const JobGraph& a, const JobGraph& b,
                            const GedOptions& options,
                            GedPolicyCounters* counters) {
+  if (!options.use_lower_bound) return ComputeGed(a, b, options);
   const GedPolicy policy = ChooseGedPolicy(a, b, options);
   if (counters != nullptr) counters->CountChoice(policy);
   GedResult r;

@@ -25,12 +25,12 @@
 // consume solely through min()/threshold comparisons. So assignments,
 // centers, inertia and within-threshold booleans are bit-identical across
 // policies; only the work done (and the incidental upper-bound values)
-// differs. Pinning STREAMTUNE_GED_POLICY=bounded reproduces the pre-PR
-// fixed policy to the byte, including those incidental values.
+// differs. Pinning STREAMTUNE_GED_POLICY=bounded runs the fixed AStar+-LSa
+// search (ComputeGed) for every pair, incidental values included.
 //
-// The policy applies only to AStar+-LSa-mode call sites
-// (GedOptions::use_lower_bound == true). The kDirectGed ablation baseline
-// (Fig. 11b) bypasses it by construction.
+// The policy applies only to AStar+-LSa-mode queries
+// (GedOptions::use_lower_bound == true). Direct-GED queries, the Fig. 11b
+// ablation baseline, run ComputeGed unrouted.
 
 #pragma once
 
@@ -88,10 +88,11 @@ GedPolicy ChooseGedPolicy(const JobGraph& a, const JobGraph& b,
                           const GedOptions& options,
                           GedPolicyMode mode = GedPolicyModeFromEnv());
 
-/// Policy-routed drop-in for ComputeGed at AStar+-LSa call sites
-/// (options.use_lower_bound must be true — direct-GED callers keep calling
-/// ComputeGed). Counts the choice and the outcome into `counters` when
-/// given.
+/// The uncached GED query, and GedCache's miss path: an AStar+-LSa-mode
+/// query takes the per-pair policy route and counts its choice and outcome
+/// into `counters` when given; a direct-GED query (use_lower_bound false)
+/// runs ComputeGed and is not counted. With `options.threshold` set, the
+/// pair is within the threshold iff the result is exact and at most it.
 GedResult PolicyComputeGed(const JobGraph& a, const JobGraph& b,
                            const GedOptions& options,
                            GedPolicyCounters* counters = nullptr);

@@ -9,7 +9,6 @@
 
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "dataflow/job_graph.h"
 #include "graph/ged.h"
 
@@ -28,26 +27,23 @@ enum class SearchMethod {
 };
 
 /// Returns the indices of all graphs in `dataset` whose GED to `query` is at
-/// most `tau` (Def. 1). `cache` optionally memoizes the pairwise checks and
-/// `pool` runs them data-parallel; both leave the result unchanged.
+/// most `tau` (Def. 1). `cache` optionally memoizes the pairwise checks
+/// without changing the result.
 std::vector<int> SimilaritySearch(
     const std::vector<JobGraph>& dataset, const JobGraph& query, double tau,
-    SearchMethod method = SearchMethod::kAStarLsa, GedCache* cache = nullptr,
-    ThreadPool* pool = nullptr);
+    SearchMethod method = SearchMethod::kAStarLsa, GedCache* cache = nullptr);
 
 /// Appearance counts C_g for every graph of the cluster: how many members'
 /// similarity searches include it (Def. 2). counts[i] corresponds to
-/// cluster[i]. The all-pairs sweep parallelizes over rows when `pool` is
-/// given.
+/// cluster[i].
 std::vector<int> AppearanceCounts(const std::vector<JobGraph>& cluster,
                                   double tau, SearchMethod method,
-                                  GedCache* cache = nullptr,
-                                  ThreadPool* pool = nullptr);
+                                  GedCache* cache = nullptr);
 
 /// Index of the similarity center (Eq. 7): argmax appearance count, ties
 /// broken by the lowest index. Returns -1 for an empty cluster.
 int SimilarityCenter(const std::vector<JobGraph>& cluster, double tau,
                      SearchMethod method = SearchMethod::kAStarLsa,
-                     GedCache* cache = nullptr, ThreadPool* pool = nullptr);
+                     GedCache* cache = nullptr);
 
 }  // namespace streamtune::graph

@@ -14,6 +14,16 @@ JobGraph ThreeWay(int variant) {
   return workloads::BuildPqpJob(workloads::PqpTemplate::kThreeWayJoin, variant);
 }
 
+// A threshold query through the cache: the pair is within tau iff the
+// result is exact and at most tau.
+bool Within(GedCache& cache, const JobGraph& a, const JobGraph& b,
+            double tau) {
+  GedOptions opts;
+  opts.threshold = tau;
+  const GedResult r = cache.Compute(a, b, opts);
+  return r.exact && r.distance <= tau + 1e-9;
+}
+
 TEST(GedCacheTest, ExactDistanceIsCachedAndServed) {
   GedCache cache;
   JobGraph a = Linear(0), b = Linear(1);
@@ -50,8 +60,8 @@ TEST(GedCacheTest, ExactEntryAnswersThresholdQueries) {
   double d = cache.Compute(a, b).distance;
   ASSERT_GT(d, 0.0);
 
-  EXPECT_TRUE(cache.WithinThreshold(a, b, d));
-  EXPECT_FALSE(cache.WithinThreshold(a, b, d - 1.0));
+  EXPECT_TRUE(Within(cache, a, b, d));
+  EXPECT_FALSE(Within(cache, a, b, d - 1.0));
   // Both served from the exact entry.
   EXPECT_EQ(cache.stats().hits, 2u);
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -76,7 +86,7 @@ TEST(GedCacheTest, PrunedResultIsNotCachedAsExact) {
   ASSERT_GT(d, 1.0) << "need structurally distant graphs for this test";
 
   // Threshold-pruned: only certifies ged > 1, must not poison exactness.
-  EXPECT_FALSE(cache.WithinThreshold(a, b, 1.0));
+  EXPECT_FALSE(Within(cache, a, b, 1.0));
   EXPECT_EQ(cache.stats().misses, 1u);
 
   // The exact query must run a real search (miss) and return the true
@@ -92,16 +102,16 @@ TEST(GedCacheTest, CertifiedLowerBoundAnswersSmallerThresholds) {
   JobGraph a = Linear(1), b = ThreeWay(1);
   ASSERT_GT(ComputeGed(a, b).distance, 2.0);
 
-  EXPECT_FALSE(cache.WithinThreshold(a, b, 2.0));  // miss: certifies > 2
+  EXPECT_FALSE(Within(cache, a, b, 2.0));  // miss: certifies > 2
   EXPECT_EQ(cache.stats().misses, 1u);
-  EXPECT_FALSE(cache.WithinThreshold(a, b, 2.0));  // identical query: hit
-  EXPECT_FALSE(cache.WithinThreshold(a, b, 1.0));  // smaller tau: hit
-  EXPECT_FALSE(cache.WithinThreshold(a, b, 0.0));
+  EXPECT_FALSE(Within(cache, a, b, 2.0));  // identical query: hit
+  EXPECT_FALSE(Within(cache, a, b, 1.0));  // smaller tau: hit
+  EXPECT_FALSE(Within(cache, a, b, 0.0));
   EXPECT_EQ(cache.stats().hits, 3u);
   EXPECT_EQ(cache.stats().misses, 1u);
 
   // A larger tau is NOT answered by the certificate; it must search again.
-  cache.WithinThreshold(a, b, 100.0);
+  Within(cache, a, b, 100.0);
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
@@ -123,7 +133,7 @@ TEST(GedCacheTest, WithinThresholdTrueStoresExactDistance) {
   GedCache cache;
   JobGraph a = Linear(0), b = Linear(1);
   double d = ComputeGed(a, b).distance;
-  ASSERT_TRUE(cache.WithinThreshold(a, b, d + 5.0));
+  ASSERT_TRUE(Within(cache, a, b, d + 5.0));
   // The in-threshold search proved the exact distance; the exact query is
   // now a hit.
   GedResult r = cache.Compute(a, b);
@@ -175,8 +185,8 @@ TEST(GedCacheTest, ClearResetsHitKindsToo) {
   JobGraph a = Linear(2), b = ThreeWay(2);
   cache.Compute(a, b);
   cache.Compute(a, b);
-  cache.WithinThreshold(a, ThreeWay(3), 0.5);
-  cache.WithinThreshold(a, ThreeWay(3), 0.25);
+  Within(cache, a, ThreeWay(3), 0.5);
+  Within(cache, a, ThreeWay(3), 0.25);
   ASSERT_GT(cache.stats().hits_exact, 0u);
   ASSERT_GT(cache.stats().hits_certified, 0u);
   cache.Clear();

@@ -149,12 +149,24 @@ TEST_F(GedPolicyTest, EveryRouteAgreesOnExactDistances) {
   EXPECT_EQ(adaptive.distance, bounded.distance);
 }
 
+// The uncached threshold query: the pair is within tau iff the result is
+// exact and at most tau.
+GedResult ThresholdQuery(const JobGraph& a, const JobGraph& b, double tau,
+                         GedOptions opts = {}) {
+  opts.threshold = tau;
+  return PolicyComputeGed(a, b, opts);
+}
+
+bool Within(const GedResult& r, double tau) {
+  return r.exact && r.distance <= tau + 1e-9;
+}
+
 TEST_F(GedPolicyTest, WithinThresholdOutParamDistinguishesOutcomes) {
   const JobGraph g = Chain(4);
 
   // Proven similar: exact distance within tau.
-  GedResult similar;
-  EXPECT_TRUE(GedWithinThreshold(g, g, 1.0, GedOptions{}, &similar));
+  const GedResult similar = ThresholdQuery(g, g, 1.0);
+  EXPECT_TRUE(Within(similar, 1.0));
   EXPECT_TRUE(similar.exact);
   EXPECT_EQ(similar.termination, GedTermination::kExact);
   EXPECT_EQ(similar.distance, 0.0);
@@ -162,8 +174,8 @@ TEST_F(GedPolicyTest, WithinThresholdOutParamDistinguishesOutcomes) {
   // Proven dissimilar on the lower-bound screen: synthetic kPruned result
   // carrying the free structural upper bound.
   const JobGraph far = Chain(9, OperatorType::kFilter);
-  GedResult pruned;
-  EXPECT_FALSE(GedWithinThreshold(g, far, 1.0, GedOptions{}, &pruned));
+  const GedResult pruned = ThresholdQuery(g, far, 1.0);
+  EXPECT_FALSE(Within(pruned, 1.0));
   EXPECT_FALSE(pruned.exact);
   EXPECT_EQ(pruned.termination, GedTermination::kPruned);
   EXPECT_EQ(pruned.distance, StructuralGedUpperBound(g, far));
@@ -179,8 +191,8 @@ TEST_F(GedPolicyTest, BudgetExhaustionIsUnknownNotDissimilar) {
   opts.expansion_budget = 1;
   const double tau = LabelSetLowerBound(a, b) + 5.0;
 
-  GedResult r;
-  EXPECT_FALSE(GedWithinThreshold(a, b, tau, opts, &r));
+  const GedResult r = ThresholdQuery(a, b, tau, opts);
+  EXPECT_FALSE(Within(r, tau));
   EXPECT_FALSE(r.exact);
   EXPECT_EQ(r.termination, GedTermination::kBudget);
 
@@ -200,14 +212,17 @@ TEST_F(GedPolicyTest, CacheNeverCertifiesBudgetExhaustedSearches) {
   GedOptions starved;
   starved.expansion_budget = 1;
   const double tau = LabelSetLowerBound(a, b) + 3.0;
+  starved.threshold = tau;
+  GedOptions budgeted;
+  budgeted.threshold = tau;
 
   GedCache cache;
-  EXPECT_FALSE(cache.WithinThreshold(a, b, tau, starved));
+  EXPECT_FALSE(Within(cache.Compute(a, b, starved), tau));
   // The exact search must be a fresh miss (no certified-hit short-circuit).
   const GedResult truth = ComputeGed(a, b);
   ASSERT_TRUE(truth.exact);
   const bool within = truth.distance <= tau + 1e-9;
-  EXPECT_EQ(cache.WithinThreshold(a, b, tau, GedOptions{}), within);
+  EXPECT_EQ(Within(cache.Compute(a, b, budgeted), tau), within);
   const GedCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits_certified, 0u);
   EXPECT_EQ(stats.misses, 2u);
@@ -242,10 +257,13 @@ TEST_F(GedPolicyTest, ClusteringIsBitIdenticalAcrossPolicyModes) {
   KMeansOptions opts;
   opts.k = 3;
   opts.max_iterations = 6;
+  GedCache pinned_cache, adaptive_cache;
 
   setenv("STREAMTUNE_GED_POLICY", "bounded", 1);
+  opts.cache = &pinned_cache;
   const auto pinned = ClusterDags(dataset, opts);
   unsetenv("STREAMTUNE_GED_POLICY");
+  opts.cache = &adaptive_cache;
   const auto adaptive = ClusterDags(dataset, opts);
 
   ASSERT_TRUE(pinned.ok());

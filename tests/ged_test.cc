@@ -2,6 +2,7 @@
 
 #include "common/rng.h"
 #include "graph/ged.h"
+#include "graph/ged_policy.h"
 #include "workloads/random_dag.h"
 
 namespace streamtune::graph {
@@ -171,7 +172,10 @@ TEST(GedTest, ThresholdSearchAgreesWithExact) {
       GedResult exact = ComputeGed(dags[i], dags[j]);
       if (!exact.exact) continue;
       for (double tau : {2.0, 5.0, 8.0}) {
-        EXPECT_EQ(GedWithinThreshold(dags[i], dags[j], tau),
+        GedOptions opts;
+        opts.threshold = tau;
+        const GedResult r = PolicyComputeGed(dags[i], dags[j], opts);
+        EXPECT_EQ(r.exact && r.distance <= tau + 1e-9,
                   exact.distance <= tau + 1e-9)
             << "tau=" << tau << " d=" << exact.distance;
       }

@@ -1,6 +1,7 @@
-// Determinism of the parallel offline pipeline: every result must be
-// bit-identical whether it runs on 1 thread or many, with or without the
-// GED memo cache (see DESIGN.md "Concurrency model").
+// Determinism of the offline pipeline: clustering must be identical with or
+// without the GED memo cache, and pre-training bit-identical whether its
+// per-cluster training runs on 1 thread or many (see DESIGN.md
+// "Concurrency model").
 
 #include <gtest/gtest.h>
 
@@ -28,34 +29,15 @@ std::vector<JobGraph> MixedDataset() {
   return dags;
 }
 
-TEST(ParallelDeterminismTest, ClusterDagsMatchesSerial) {
-  auto dags = MixedDataset();
-  graph::KMeansOptions serial;
-  serial.k = 3;
-  serial.num_threads = 1;
-  graph::KMeansOptions parallel = serial;
-  parallel.num_threads = 8;
-
-  auto a = graph::ClusterDags(dags, serial);
-  auto b = graph::ClusterDags(dags, parallel);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->assignment, b->assignment);
-  EXPECT_EQ(a->center_indices, b->center_indices);
-  EXPECT_DOUBLE_EQ(a->within_cluster_distance, b->within_cluster_distance);
-  EXPECT_EQ(a->iterations, b->iterations);
-}
-
 TEST(ParallelDeterminismTest, CacheDoesNotChangeClustering) {
   // The memo table must be invisible: same assignments, centers and inertia
   // as the uncached (pre-cache) pipeline.
   auto dags = MixedDataset();
   graph::KMeansOptions uncached;
   uncached.k = 3;
-  uncached.num_threads = 1;
-  uncached.use_cache = false;
+  graph::GedCache cache;
   graph::KMeansOptions cached = uncached;
-  cached.use_cache = true;
+  cached.cache = &cache;
 
   auto a = graph::ClusterDags(dags, uncached);
   auto b = graph::ClusterDags(dags, cached);
@@ -66,18 +48,28 @@ TEST(ParallelDeterminismTest, CacheDoesNotChangeClustering) {
   EXPECT_DOUBLE_EQ(a->within_cluster_distance, b->within_cluster_distance);
 }
 
-TEST(ParallelDeterminismTest, ElbowMatchesSerial) {
+TEST(ParallelDeterminismTest, ClusteringCacheCountersRepeat) {
+  // Clustering queries the cache in one fixed order, so its counters are a
+  // pure function of the input: two runs, each with a fresh cache, agree.
   auto dags = MixedDataset();
-  graph::KMeansOptions serial;
-  serial.num_threads = 1;
-  graph::KMeansOptions parallel = serial;
-  parallel.num_threads = 8;
-
-  auto a = graph::SelectKByElbow(dags, 2, 5, serial);
-  auto b = graph::SelectKByElbow(dags, 2, 5, parallel);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(*a, *b);
+  auto run = [&dags](graph::GedCache::Stats* stats) {
+    graph::GedCache cache;
+    graph::KMeansOptions opts;
+    opts.cache = &cache;
+    auto k = graph::SelectKByElbow(dags, 2, 5, opts);
+    ASSERT_TRUE(k.ok());
+    opts.k = *k;
+    ASSERT_TRUE(graph::ClusterDags(dags, opts).ok());
+    *stats = cache.stats();
+  };
+  graph::GedCache::Stats a, b;
+  run(&a);
+  run(&b);
+  EXPECT_GT(a.hits_exact, 0u);
+  EXPECT_EQ(a.hits_exact, b.hits_exact);
+  EXPECT_EQ(a.hits_certified, b.hits_certified);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.entries, b.entries);
 }
 
 TEST(ParallelDeterminismTest, ElbowShortRangeSkipsClustering) {
