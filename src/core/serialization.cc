@@ -95,6 +95,8 @@ constexpr int kVersion = 1;
 /// so its shape is checked first. Trained bundles use 32 and 3.
 constexpr long long kMaxHiddenDim = 512;
 constexpr long long kMaxGnnLayers = 16;
+/// Most records a history file or bundle corpus may hold.
+constexpr long long kMaxCorpusRecords = 10000000;
 
 using io::DoubleToken;
 using io::ExpectToken;
@@ -369,7 +371,7 @@ Result<std::vector<HistoryRecord>> LoadHistory(const std::string& path) {
   }
   ST_RETURN_NOT_OK(ExpectToken(is, "count").status());
   ST_ASSIGN_OR_RETURN(long long count, IntToken(is));
-  if (count < 0 || count > 10000000) {
+  if (count < 0 || count > kMaxCorpusRecords) {
     return Status::InvalidArgument("implausible record count");
   }
   std::vector<HistoryRecord> records;
@@ -415,6 +417,8 @@ Result<PretrainedBundle> ReadBundleBody(std::istream& is) {
     return Status::InvalidArgument("implausible cluster count");
   }
   std::vector<ClusterModel> clusters(k);
+  // Member indices stay 64-bit until the corpus size they index is known.
+  std::vector<std::vector<long long>> members(k);
   for (long long c = 0; c < k; ++c) {
     ST_RETURN_NOT_OK(ExpectToken(is, "cluster").status());
     ST_ASSIGN_OR_RETURN(long long idx, IntToken(is));
@@ -422,10 +426,13 @@ Result<PretrainedBundle> ReadBundleBody(std::istream& is) {
     ClusterModel& cm = clusters[c];
     ST_ASSIGN_OR_RETURN(cm.center, ReadJobGraph(is));
     ST_RETURN_NOT_OK(ExpectToken(is, "members").status());
-    ST_ASSIGN_OR_RETURN(long long members, IntToken(is));
-    for (long long i = 0; i < members; ++i) {
+    ST_ASSIGN_OR_RETURN(long long count, IntToken(is));
+    if (count < 0 || count > kMaxCorpusRecords) {
+      return Status::InvalidArgument("implausible cluster member count");
+    }
+    for (long long i = 0; i < count; ++i) {
       ST_ASSIGN_OR_RETURN(long long ri, IntToken(is));
-      cm.record_indices.push_back(static_cast<int>(ri));
+      members[c].push_back(ri);
     }
     ST_RETURN_NOT_OK(ExpectToken(is, "encoder").status());
     ml::GnnConfig cfg;
@@ -476,7 +483,7 @@ Result<PretrainedBundle> ReadBundleBody(std::istream& is) {
 
   ST_RETURN_NOT_OK(ExpectToken(is, "corpus").status());
   ST_ASSIGN_OR_RETURN(long long count, IntToken(is));
-  if (count < 0 || count > 10000000) {
+  if (count < 0 || count > kMaxCorpusRecords) {
     return Status::InvalidArgument("implausible corpus size");
   }
   std::vector<HistoryRecord> records;
@@ -485,11 +492,12 @@ Result<PretrainedBundle> ReadBundleBody(std::istream& is) {
     ST_ASSIGN_OR_RETURN(HistoryRecord rec, ReadHistoryRecord(is));
     records.push_back(std::move(rec));
   }
-  for (const ClusterModel& cm : clusters) {
-    for (int ri : cm.record_indices) {
-      if (ri < 0 || ri >= static_cast<int>(records.size())) {
+  for (long long c = 0; c < k; ++c) {
+    for (long long ri : members[c]) {
+      if (ri < 0 || ri >= count) {
         return Status::InvalidArgument("cluster member index out of range");
       }
+      clusters[c].record_indices.push_back(static_cast<int>(ri));
     }
   }
   return PretrainedBundle(std::move(clusters), std::move(records),

@@ -1,6 +1,7 @@
 #include "kb/kb_store.h"
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/crc32.h"
@@ -127,6 +128,9 @@ Status ReadJobsBody(std::istream& is, KnowledgeBase* kb) {
       ST_RETURN_NOT_OK(ExpectToken(is, "f").status());
       ml::LabeledSample s;
       ST_ASSIGN_OR_RETURN(long long p, IntToken(is));
+      if (p < 1 || p > std::numeric_limits<int>::max()) {
+        return Status::InvalidArgument("feedback parallelism out of range");
+      }
       ST_ASSIGN_OR_RETURN(long long label, IntToken(is));
       if (label != 0 && label != 1) {
         return Status::InvalidArgument("feedback label out of range");

@@ -85,6 +85,35 @@ bool Exists(const std::string& path) {
   return ::stat(path.c_str(), &st) == 0;
 }
 
+/// Offset of the "section <name> <bytes> <crc>" header line in `content`.
+size_t SectionHeader(const std::string& content, const std::string& name) {
+  return content.find("\nsection " + name + " ") + 1;
+}
+
+/// The body of section `name` of a saved KB, split out by its header's byte
+/// count.
+std::string SectionBody(const std::string& content, const std::string& name) {
+  const size_t header = SectionHeader(content, name);
+  EXPECT_GT(header, 0u) << "no section " << name;
+  const size_t bytes = std::stoul(
+      content.substr(header + std::string("section " + name + " ").size()));
+  return content.substr(content.find('\n', header) + 1, bytes);
+}
+
+/// `content` with section `name`'s body replaced by `body`, under a header
+/// whose byte count and CRC match it.
+std::string WithSection(const std::string& content, const std::string& name,
+                        const std::string& body) {
+  const size_t header = SectionHeader(content, name);
+  const size_t body_start = content.find('\n', header) + 1;
+  const size_t body_end = body_start + SectionBody(content, name).size();
+  std::ostringstream out;
+  out << content.substr(0, header) << "section " << name << ' '
+      << body.size() << ' ' << Crc32(body) << '\n'
+      << body << content.substr(body_end);
+  return out.str();
+}
+
 TEST(KbStoreTest, RoundTripPreservesState) {
   auto service = KbService::Build(SampleCorpus(), SmallOptions());
   ASSERT_TRUE(service.ok()) << service.status().ToString();
@@ -278,22 +307,9 @@ TEST(KbStoreTest, LoadRejectsUnfittableFeedback) {
   std::string path = TempPath("unfittable");
   ASSERT_TRUE((*service)->Save(path).ok());
   const std::string content = ReadAll(path);
-
-  // Split out the jobs body by its header's byte count; write_jobs puts a
-  // replacement back with a matching length and CRC.
-  const std::string jobs_header = "section jobs ";
-  const size_t header = content.find("\n" + jobs_header) + 1;
-  ASSERT_GT(header, 0u);
-  const size_t body_start = content.find('\n', header) + 1;
-  const size_t body_bytes =
-      std::stoul(content.substr(header + jobs_header.size()));
-  const std::string body = content.substr(body_start, body_bytes);
+  const std::string body = SectionBody(content, "jobs");
   auto write_jobs = [&](const std::string& jobs) {
-    std::ostringstream out;
-    out << content.substr(0, header) << jobs_header << jobs.size() << ' '
-        << Crc32(jobs) << '\n'
-        << jobs << content.substr(body_start + body_bytes);
-    WriteAll(path, out.str());
+    WriteAll(path, WithSection(content, "jobs", jobs));
   };
   write_jobs(body);
   ASSERT_TRUE(LoadKb(path).ok());
@@ -322,22 +338,9 @@ TEST(KbStoreTest, LoadRejectsImplausibleEncoderShape) {
   std::string path = TempPath("encoder_shape");
   ASSERT_TRUE((*service)->Save(path).ok());
   const std::string content = ReadAll(path);
-
-  // Split out the bundle body by its header's byte count; write_bundle puts
-  // a replacement back with a matching length and CRC.
-  const std::string bundle_header = "section bundle ";
-  const size_t header = content.find("\n" + bundle_header) + 1;
-  ASSERT_GT(header, 0u);
-  const size_t body_start = content.find('\n', header) + 1;
-  const size_t body_bytes =
-      std::stoul(content.substr(header + bundle_header.size()));
-  const std::string body = content.substr(body_start, body_bytes);
+  const std::string body = SectionBody(content, "bundle");
   auto write_bundle = [&](const std::string& bundle) {
-    std::ostringstream out;
-    out << content.substr(0, header) << bundle_header << bundle.size() << ' '
-        << Crc32(bundle) << '\n'
-        << bundle << content.substr(body_start + body_bytes);
-    WriteAll(path, out.str());
+    WriteAll(path, WithSection(content, "bundle", bundle));
   };
   write_bundle(body);
   ASSERT_TRUE(LoadKb(path).ok());
@@ -352,6 +355,49 @@ TEST(KbStoreTest, LoadRejectsImplausibleEncoderShape) {
   for (const char* shape : {"-4 3", "100000 3", "32 100000000"}) {
     write_bundle(body.substr(0, hidden) + shape + " " + body.substr(seed));
     EXPECT_FALSE(LoadKb(path).ok()) << "encoder shape " << shape;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(KbStoreTest, LoadRangeChecksIntegersBeforeNarrowing) {
+  auto service = KbService::Build(SampleCorpus(), SmallOptions());
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  JobGraph q5 = workloads::BuildNexmarkJob(workloads::NexmarkQuery::kQ5,
+                                           workloads::Engine::kFlink);
+  ASSERT_TRUE((*service)->Admit(MakeAdmission(**service, q5, 61)).ok());
+  ASSERT_GT((*service)->Snapshot()->bundle()->records().size(), 5u);
+  std::string path = TempPath("narrowing");
+  ASSERT_TRUE((*service)->Save(path).ok());
+  const std::string content = ReadAll(path);
+  const std::string jobs = SectionBody(content, "jobs");
+  const std::string bundle = SectionBody(content, "bundle");
+
+  // Each value is checked as 64-bit before it narrows to int: as an int,
+  // 2^32 + 1 reads as parallelism 1 and 2^32 + 5 as record 5, and a member
+  // count of -3 as an empty cluster.
+  const size_t p = jobs.find("\nf ") + 3;  // first feedback parallelism
+  ASSERT_GT(p, 3u);
+  const size_t count = bundle.find("\nmembers ") + 9;  // first member count
+  ASSERT_GT(count, 9u);
+  const size_t index = bundle.find(' ', count) + 1;  // its first index
+  const size_t line_end = bundle.find('\n', count);
+  ASSERT_LT(index, line_end) << "the first cluster has no members";
+  const struct {
+    const char* what;
+    const char* section;
+    std::string body;
+  } cases[] = {
+      {"feedback parallelism 2^32 + 1", "jobs",
+       jobs.substr(0, p) + "4294967297" + jobs.substr(jobs.find(' ', p))},
+      {"member index 2^32 + 5", "bundle",
+       bundle.substr(0, index) + "4294967301" +
+           bundle.substr(bundle.find_first_of(" \n", index))},
+      {"member count -3", "bundle",
+       bundle.substr(0, count) + "-3" + bundle.substr(line_end)},
+  };
+  for (const auto& c : cases) {
+    WriteAll(path, WithSection(content, c.section, c.body));
+    EXPECT_FALSE(LoadKb(path).ok()) << c.what;
   }
   std::remove(path.c_str());
 }
