@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 namespace {
@@ -17,6 +21,23 @@ std::string Tmp(const char* tag) {
 
 int RunCli(const std::string& cmd) {
   return std::system((cmd + " > /dev/null 2>&1").c_str());
+}
+
+// Runs the CLI and returns its exit code, with its stderr in `*err`.
+int RunCliStatus(const std::string& cmd, std::string* err) {
+  FILE* pipe = ::popen((cmd + " 2>&1 >/dev/null").c_str(), "r");
+  if (!pipe) return -1;
+  err->clear();
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), pipe)) > 0) err->append(buf, n);
+  const int status = ::pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
 }
 
 // Runs the CLI capturing stdout; asserts the process exited 0.
@@ -113,7 +134,33 @@ TEST(CliTest, FailsCleanlyOnBadInput) {
                            "--out " + hist));
   EXPECT_NE(0, RunCli(Cli() + " pretrain --history " + hist + " --out " +
                    Tmp("bad_out")));
+
+  // Every numeric flag parses strictly (the whole token, finite, in range)
+  // and --model must name a model. A bad value exits 2 with the usage text
+  // before any file or engine is touched: --admit leaves the KB as it was.
+  std::string kb = Tmp("bad_kb");
+  ASSERT_EQ(0, RunCli(Cli() + " pretrain --history " + hist +
+                   " --no-cluster --epochs 1 --kb-path " + kb));
+  const std::string saved = ReadFile(kb);
+  std::string err;
+  for (const char* bad :
+       {"--rate abc", "--rate nan", "--rate -2", "--rate inf",
+        "--chaos-deploy-fail abc", "--model foo"}) {
+    EXPECT_EQ(2, RunCliStatus(Cli() + " tune --kb-path " + kb +
+                                  " --job nexmark:Q1 --admit " + bad,
+                              &err))
+        << bad;
+    EXPECT_NE(err.find("usage:"), std::string::npos) << bad << ": " << err;
+  }
+  EXPECT_EQ(ReadFile(kb), saved);
+  const std::string no_history = Tmp("bad_samples");
+  EXPECT_EQ(2, RunCliStatus(Cli() + " collect --workload pqp --samples x "
+                                "--out " + no_history,
+                            &err));
+  EXPECT_NE(err.find("usage:"), std::string::npos) << err;
+  EXPECT_FALSE(std::ifstream(no_history).good());
   std::remove(hist.c_str());
+  std::remove(kb.c_str());
 }
 
 }  // namespace

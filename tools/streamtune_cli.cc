@@ -16,8 +16,10 @@
 // pretrain writes a KB, tune reads it (warm-starting from the job's own
 // admitted feedback) and --admit folds the converged session back in.
 
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
-#include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -59,13 +61,65 @@ int Usage() {
       "  streamtune_cli simulate --job SPEC [--rate M] "
       "[--parallelism p1,p2,...]\n"
       "  streamtune_cli inspect  --history FILE | --kb FILE\n"
-      "job SPEC: nexmark:Q1|Q2|Q3|Q5|Q8 or pqp:linear|2way|3way:VARIANT\n");
+      "job SPEC: nexmark:Q1|Q2|Q3|Q5|Q8 or pqp:linear|2way|3way:VARIANT\n"
+      "numbers: integers N >= 1, K >= 0 (0 = elbow), S >= 0; "
+      "0 <= P <= 1; 0.001 <= M <= 1000\n");
   return 2;
 }
 
-std::map<std::string, std::string> ParseFlags(int argc, char** argv,
-                                              int start) {
-  std::map<std::string, std::string> flags;
+using Flags = std::map<std::string, std::string>;
+
+constexpr uint64_t kMaxU64 = std::numeric_limits<uint64_t>::max();
+/// Source-rate multipliers (--rate, in W_u) the engines are driven at.
+constexpr double kMinRate = 0.001;
+constexpr double kMaxRate = 1000.0;
+/// Largest parallelism `simulate --parallelism` accepts.
+constexpr int kMaxParallelism = 10000;
+
+/// Strict number parser for every numeric flag: the whole token must parse
+/// as a T (no sign on an unsigned value) and lie in [lo, hi], so NaN and
+/// infinities fail too.
+template <typename T>
+bool ParseNumber(const std::string& token, T lo, T hi, T* out) {
+  T v{};
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, v);
+  if (ec != std::errc() || ptr != end || !(v >= lo && v <= hi)) return false;
+  *out = v;
+  return true;
+}
+
+/// Parses flag `--name` into `*out` when it is present; an absent flag
+/// keeps the default. Reports a bad value and returns false.
+template <typename T>
+bool NumericFlag(const Flags& flags, const char* name, T lo, T hi, T* out) {
+  auto it = flags.find(name);
+  if (it == flags.end() || ParseNumber(it->second, lo, hi, out)) return true;
+  std::fprintf(stderr, "bad value '%s' for --%s\n", it->second.c_str(), name);
+  return false;
+}
+
+/// Maps `--model` onto the fine-tuned model family; false for an unknown
+/// name. Absent, the default (XGBoost) stays.
+bool ParseModel(const Flags& flags, core::FineTuneModel* model) {
+  auto it = flags.find("model");
+  if (it == flags.end()) return true;
+  const std::string& m = it->second;
+  if (m == "xgboost") {
+    *model = core::FineTuneModel::kXgboost;
+  } else if (m == "svm") {
+    *model = core::FineTuneModel::kSvm;
+  } else if (m == "nn") {
+    *model = core::FineTuneModel::kNn;
+  } else {
+    std::fprintf(stderr, "unknown --model '%s'\n", m.c_str());
+    return false;
+  }
+  return true;
+}
+
+Flags ParseFlags(int argc, char** argv, int start) {
+  Flags flags;
   for (int i = start; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) continue;
@@ -97,7 +151,6 @@ Result<JobGraph> ParseJobSpec(const std::string& spec, bool timely) {
       return Status::InvalidArgument("pqp spec needs a variant index");
     }
     std::string tmpl = rest.substr(0, colon);
-    int variant = std::atoi(rest.substr(colon + 1).c_str());
     workloads::PqpTemplate t;
     if (tmpl == "linear") {
       t = workloads::PqpTemplate::kLinear;
@@ -108,7 +161,9 @@ Result<JobGraph> ParseJobSpec(const std::string& spec, bool timely) {
     } else {
       return Status::InvalidArgument("unknown PQP template '" + tmpl + "'");
     }
-    if (variant < 0 || variant >= workloads::PqpVariantCount(t)) {
+    int variant = 0;
+    if (!ParseNumber(rest.substr(colon + 1), 0,
+                     workloads::PqpVariantCount(t) - 1, &variant)) {
       return Status::InvalidArgument("PQP variant out of range");
     }
     return workloads::BuildPqpJob(t, variant);
@@ -129,9 +184,14 @@ std::unique_ptr<sim::StreamEngine> MakeEngine(const JobGraph& job,
   return std::make_unique<sim::FlinkEngine>(job, model, cfg);
 }
 
-int CmdCollect(const std::map<std::string, std::string>& flags) {
+int CmdCollect(const Flags& flags) {
   auto out = flags.find("out");
   if (out == flags.end()) return Usage();
+  core::HistoryOptions opts;
+  if (!NumericFlag(flags, "samples", 1, 100000, &opts.samples_per_job) ||
+      !NumericFlag(flags, "seed", uint64_t{0}, kMaxU64, &opts.seed)) {
+    return Usage();
+  }
   std::string workload = flags.count("workload") ? flags.at("workload")
                                                  : std::string("all");
   bool timely = workload == "nexmark-timely";
@@ -159,13 +219,6 @@ int CmdCollect(const std::map<std::string, std::string>& flags) {
     return 2;
   }
 
-  core::HistoryOptions opts;
-  if (flags.count("samples")) {
-    opts.samples_per_job = std::atoi(flags.at("samples").c_str());
-  }
-  if (flags.count("seed")) {
-    opts.seed = std::strtoull(flags.at("seed").c_str(), nullptr, 10);
-  }
   core::EngineFactory factory;
   if (timely) {
     opts.max_parallelism = 10;
@@ -187,19 +240,19 @@ int CmdCollect(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdPretrain(const std::map<std::string, std::string>& flags) {
+int CmdPretrain(const Flags& flags) {
   if (!flags.count("history") || !flags.count("kb-path")) return Usage();
+  core::PretrainOptions opts;
+  if (flags.count("no-cluster")) opts.use_clustering = false;
+  if (!NumericFlag(flags, "k", 0, 1000, &opts.k) ||
+      !NumericFlag(flags, "epochs", 1, 100000, &opts.epochs)) {
+    return Usage();
+  }
   auto records = core::LoadHistory(flags.at("history"));
   if (!records.ok()) {
     std::fprintf(stderr, "load failed: %s\n",
                  records.status().ToString().c_str());
     return 1;
-  }
-  core::PretrainOptions opts;
-  if (flags.count("no-cluster")) opts.use_clustering = false;
-  if (flags.count("k")) opts.k = std::atoi(flags.at("k").c_str());
-  if (flags.count("epochs")) {
-    opts.epochs = std::atoi(flags.at("epochs").c_str());
   }
   std::printf("pre-training on %zu records...\n", records->size());
   auto bundle = core::Pretrainer(opts).Run(std::move(*records));
@@ -220,32 +273,36 @@ int CmdPretrain(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdTune(const std::map<std::string, std::string>& flags) {
+int CmdTune(const Flags& flags) {
   if (!flags.count("kb-path") || !flags.count("job")) return Usage();
   bool timely = flags.count("engine") && flags.at("engine") == "timely";
 
+  double rate = 10.0;
   sim::FaultPlan plan;
-  if (flags.count("chaos-seed")) {
-    plan.seed = std::strtoull(flags.at("chaos-seed").c_str(), nullptr, 10);
-  }
-  if (flags.count("chaos-deploy-fail")) {
-    plan.deploy_failure_prob = std::atof(flags.at("chaos-deploy-fail").c_str());
-  }
-  if (flags.count("chaos-metric-drop")) {
-    plan.measure_dropout_prob = std::atof(flags.at("chaos-metric-drop").c_str());
-  }
-  if (flags.count("chaos-straggler")) {
-    plan.straggler_prob = std::atof(flags.at("chaos-straggler").c_str());
-  }
-  if (flags.count("chaos-corrupt")) {
-    plan.metric_corruption_prob = std::atof(flags.at("chaos-corrupt").c_str());
-  }
-  if (flags.count("chaos-spike")) {
-    plan.rate_spike_prob = std::atof(flags.at("chaos-spike").c_str());
+  core::StreamTuneOptions opts;
+  if (!NumericFlag(flags, "rate", kMinRate, kMaxRate, &rate) ||
+      !NumericFlag(flags, "chaos-seed", uint64_t{0}, kMaxU64, &plan.seed) ||
+      !NumericFlag(flags, "chaos-deploy-fail", 0.0, 1.0,
+                   &plan.deploy_failure_prob) ||
+      !NumericFlag(flags, "chaos-metric-drop", 0.0, 1.0,
+                   &plan.measure_dropout_prob) ||
+      !NumericFlag(flags, "chaos-straggler", 0.0, 1.0,
+                   &plan.straggler_prob) ||
+      !NumericFlag(flags, "chaos-corrupt", 0.0, 1.0,
+                   &plan.metric_corruption_prob) ||
+      !NumericFlag(flags, "chaos-spike", 0.0, 1.0, &plan.rate_spike_prob) ||
+      !ParseModel(flags, &opts.model)) {
+    return Usage();
   }
   Status plan_ok = plan.Validate();
   if (!plan_ok.ok()) {
     std::fprintf(stderr, "bad fault plan: %s\n", plan_ok.ToString().c_str());
+    return 2;
+  }
+
+  auto job = ParseJobSpec(flags.at("job"), timely);
+  if (!job.ok()) {
+    std::fprintf(stderr, "%s\n", job.status().ToString().c_str());
     return 2;
   }
 
@@ -257,14 +314,6 @@ int CmdTune(const std::map<std::string, std::string>& flags) {
   }
   std::unique_ptr<kb::KbService> service = std::move(*opened);
   std::shared_ptr<const kb::KbSnapshot> snapshot = service->Snapshot();
-  auto job = ParseJobSpec(flags.at("job"), timely);
-  if (!job.ok()) {
-    std::fprintf(stderr, "%s\n", job.status().ToString().c_str());
-    return 2;
-  }
-  double rate = flags.count("rate") ? std::atof(flags.at("rate").c_str())
-                                    : 10.0;
-
   auto bare_engine = MakeEngine(*job, timely, 7);
   sim::StreamEngine* engine = bare_engine.get();
   std::unique_ptr<sim::ChaosEngine> chaos;
@@ -278,12 +327,6 @@ int CmdTune(const std::map<std::string, std::string>& flags) {
   (void)baselines::RobustLoop(engine).Deploy(ones);
   engine->ScaleAllSources(rate);
 
-  core::StreamTuneOptions opts;
-  if (flags.count("model")) {
-    const std::string& m = flags.at("model");
-    if (m == "svm") opts.model = core::FineTuneModel::kSvm;
-    if (m == "nn") opts.model = core::FineTuneModel::kNn;
-  }
   std::unique_ptr<core::StreamTuneTuner> tuner =
       snapshot->NewTuner(job->name(), opts);
   if (snapshot->job(job->name())) {
@@ -362,7 +405,7 @@ int CmdTune(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdAdmit(const std::map<std::string, std::string>& flags) {
+int CmdAdmit(const Flags& flags) {
   if (!flags.count("kb-path") || !flags.count("history")) return Usage();
   auto service = kb::KbService::Open(flags.at("kb-path"));
   if (!service.ok()) {
@@ -399,23 +442,28 @@ int CmdAdmit(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdSimulate(const std::map<std::string, std::string>& flags) {
+int CmdSimulate(const Flags& flags) {
   if (!flags.count("job")) return Usage();
   auto job = ParseJobSpec(flags.at("job"), false);
   if (!job.ok()) {
     std::fprintf(stderr, "%s\n", job.status().ToString().c_str());
     return 2;
   }
-  double rate = flags.count("rate") ? std::atof(flags.at("rate").c_str())
-                                    : 1.0;
+  double rate = 1.0;
+  if (!NumericFlag(flags, "rate", kMinRate, kMaxRate, &rate)) return Usage();
   std::vector<int> parallelism(job->num_operators(), 1);
   if (flags.count("parallelism")) {
     const std::string& list = flags.at("parallelism");
     size_t pos = 0;
-    for (int v = 0; v < job->num_operators() && pos < list.size(); ++v) {
-      parallelism[v] = std::atoi(list.c_str() + pos);
+    for (int v = 0; v < job->num_operators() && pos <= list.size(); ++v) {
       size_t comma = list.find(',', pos);
-      if (comma == std::string::npos) break;
+      if (comma == std::string::npos) comma = list.size();
+      if (!ParseNumber(list.substr(pos, comma - pos), 1, kMaxParallelism,
+                       &parallelism[v])) {
+        std::fprintf(stderr, "bad value '%s' for --parallelism\n",
+                     list.c_str());
+        return Usage();
+      }
       pos = comma + 1;
     }
   }
@@ -447,7 +495,7 @@ int CmdSimulate(const std::map<std::string, std::string>& flags) {
   return 0;
 }
 
-int CmdInspect(const std::map<std::string, std::string>& flags) {
+int CmdInspect(const Flags& flags) {
   if (flags.count("history")) {
     auto records = core::LoadHistory(flags.at("history"));
     if (!records.ok()) {
