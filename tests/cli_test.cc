@@ -144,7 +144,7 @@ TEST(CliTest, FailsCleanlyOnBadInput) {
   const std::string saved = ReadFile(kb);
   std::string err;
   for (const char* bad :
-       {"--rate abc", "--rate nan", "--rate -2", "--rate inf",
+       {"--rate abc", "--rate nan", "--rate -2", "--rate inf", "--rate",
         "--chaos-deploy-fail abc", "--model foo"}) {
     EXPECT_EQ(2, RunCliStatus(Cli() + " tune --kb-path " + kb +
                                   " --job nexmark:Q1 --admit " + bad,

@@ -127,7 +127,9 @@ Flags ParseFlags(int argc, char** argv, int start) {
     if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
       flags[key] = argv[++i];
     } else {
-      flags[key] = "1";
+      // A switch (--admit, --no-cluster). A valueless numeric flag fails
+      // to parse instead of reading as 1.
+      flags[key] = "";
     }
   }
   return flags;
