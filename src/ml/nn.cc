@@ -2,8 +2,16 @@
 
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 namespace streamtune::ml {
+namespace {
+
+constexpr double kBeta1 = 0.9;
+constexpr double kBeta2 = 0.999;
+constexpr double kEps = 1e-8;
+
+}  // namespace
 
 Tape::Ref Activate(Tape* tape, Tape::Ref x, Activation act) {
   switch (act) {
@@ -55,10 +63,8 @@ std::vector<Var> Mlp::Params() const {
   return ps;
 }
 
-Adam::Adam(std::vector<Var> params, double lr, double beta1, double beta2,
-           double eps)
-    : params_(std::move(params)), lr_(lr), beta1_(beta1), beta2_(beta2),
-      eps_(eps) {
+Adam::Adam(std::vector<Var> params, double lr)
+    : params_(std::move(params)), lr_(lr) {
   for (const Var& p : params_) {
     m_.emplace_back(p->value.rows(), p->value.cols());
     v_.emplace_back(p->value.rows(), p->value.cols());
@@ -67,27 +73,39 @@ Adam::Adam(std::vector<Var> params, double lr, double beta1, double beta2,
 
 void Adam::Step() {
   ++t_;
-  const double bc1 = 1.0 - std::pow(beta1_, t_);
-  const double bc2 = 1.0 - std::pow(beta2_, t_);
-  const double b1 = beta1_, one_minus_b1 = 1.0 - beta1_;
-  const double b2 = beta2_, one_minus_b2 = 1.0 - beta2_;
-  const double lr = lr_, eps = eps_;
+  const double bc1 = 1.0 - std::pow(kBeta1, t_);
+  const double bc2 = 1.0 - std::pow(kBeta2, t_);
+  constexpr double kMinNormal = std::numeric_limits<double>::min();
+  const double lr = lr_;
   for (size_t i = 0; i < params_.size(); ++i) {
     Var& p = params_[i];
     if (!p->has_grad()) continue;
-    // Restrict-qualified raw spans so the div/sqrt chain vectorizes; the
-    // per-element expressions are unchanged (same values, same rounding).
+    // Restrict-qualified raw spans, and -fno-math-errno on this file (see
+    // src/ml/CMakeLists.txt) so std::sqrt is one instruction instead of a
+    // possible errno-setting call: GCC vectorizes this loop at -O3. Vector
+    // sqrt and div round exactly as the scalar ones, so every element gets
+    // the same value either way.
+    //
+    // A first moment that decays below the smallest normal double is stored
+    // as 0. The zero gradients of a dead ReLU unit shrink m by 0.9 a step
+    // (6,724 steps take m = 1 below it), and once subnormal, m stays there
+    // for good, because 0.9 * k * 2^-1074 rounds back to itself for k <= 5:
+    // every later step would pay the subnormal penalty on it. The flush
+    // leaves the weights bit-identical: a subnormal m moves w by at most
+    // lr * 2.2e-299, which rounds away against any |w| above about 1e-282,
+    // and a later gradient of normal size absorbs it in m.
     const double* __restrict g = p->grad.data().data();
     double* __restrict m = m_[i].data().data();
     double* __restrict v = v_[i].data().data();
     double* __restrict w = p->value.data().data();
     const size_t n = p->value.size();
     for (size_t k = 0; k < n; ++k) {
-      m[k] = b1 * m[k] + one_minus_b1 * g[k];
-      v[k] = b2 * v[k] + one_minus_b2 * g[k] * g[k];
+      const double mk = kBeta1 * m[k] + (1.0 - kBeta1) * g[k];
+      m[k] = std::abs(mk) < kMinNormal ? 0.0 : mk;
+      v[k] = kBeta2 * v[k] + (1.0 - kBeta2) * g[k] * g[k];
       const double mhat = m[k] / bc1;
       const double vhat = v[k] / bc2;
-      w[k] -= lr * mhat / (std::sqrt(vhat) + eps);
+      w[k] -= lr * mhat / (std::sqrt(vhat) + kEps);
     }
   }
   ZeroGrad();

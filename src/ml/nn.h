@@ -50,24 +50,21 @@ class Mlp {
   int in_dim_ = 0, out_dim_ = 0;
 };
 
-/// Adam optimizer over a fixed parameter list.
+/// Adam optimizer over a fixed parameter list, with the standard
+/// beta1 = 0.9, beta2 = 0.999 and eps = 1e-8.
 class Adam {
  public:
-  explicit Adam(std::vector<Var> params, double lr = 1e-3,
-                double beta1 = 0.9, double beta2 = 0.999,
-                double eps = 1e-8);
+  explicit Adam(std::vector<Var> params, double lr = 1e-3);
 
   /// Applies one update using each parameter's accumulated gradient,
   /// then clears the gradients.
   void Step();
   void ZeroGrad();
-  double lr() const { return lr_; }
-  void set_lr(double lr) { lr_ = lr; }
 
  private:
   std::vector<Var> params_;
   std::vector<Matrix> m_, v_;
-  double lr_, beta1_, beta2_, eps_;
+  double lr_;
   int t_ = 0;
 };
 

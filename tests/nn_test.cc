@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "common/math_util.h"
 #include "ml/nn.h"
 #include "ml/tape.h"
@@ -61,6 +66,46 @@ TEST(AdamTest, ZeroGradClearsGradients) {
   EXPECT_TRUE(x->has_grad());
   opt.ZeroGrad();
   EXPECT_FALSE(x->has_grad());
+}
+
+TEST(AdamTest, SubnormalFirstMomentsLeaveWeightsUnchanged) {
+  // Three real gradients, then 9,000 zero ones (a dead unit): the first
+  // moments decay through the subnormal range, which Adam flushes to zero.
+  // A replica of the textbook update without the flush must produce the
+  // same weight bits after every step.
+  const std::vector<double> w0 = {0.75, -1.25, 2.0, -0.5};
+  const std::vector<double> g0 = {0.3, -2.0, 1.0, 4.5};
+  constexpr double kLr = 0.01;
+  Var x = Param(Matrix(1, 4));
+  for (int c = 0; c < 4; ++c) x->value.at(0, c) = w0[c];
+  Adam opt({x}, kLr);
+
+  std::vector<double> ref_w = w0, ref_m(4, 0.0), ref_v(4, 0.0);
+  bool crossed_subnormal = false;
+  int mismatches = 0;
+  for (int t = 1; t <= 3 + 9000; ++t) {
+    const double scale = t <= 3 ? 1.0 : 0.0;
+    x->grad = Matrix(1, 4);
+    for (int c = 0; c < 4; ++c) x->grad.at(0, c) = scale * g0[c];
+    opt.Step();
+
+    const double bc1 = 1.0 - std::pow(0.9, t);
+    const double bc2 = 1.0 - std::pow(0.999, t);
+    for (int c = 0; c < 4; ++c) {
+      const double g = scale * g0[c];
+      ref_m[c] = 0.9 * ref_m[c] + (1.0 - 0.9) * g;
+      ref_v[c] = 0.999 * ref_v[c] + (1.0 - 0.999) * g * g;
+      ref_w[c] -= kLr * (ref_m[c] / bc1) /
+                  (std::sqrt(ref_v[c] / bc2) + 1e-8);
+      if (std::fpclassify(ref_m[c]) == FP_SUBNORMAL) crossed_subnormal = true;
+      if (std::bit_cast<uint64_t>(x->value.at(0, c)) !=
+          std::bit_cast<uint64_t>(ref_w[c])) {
+        ++mismatches;
+      }
+    }
+  }
+  ASSERT_TRUE(crossed_subnormal);
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(MlpTest, LearnsXor) {
