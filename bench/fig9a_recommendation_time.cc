@@ -123,6 +123,8 @@ int main(int argc, char** argv) {
       "refits grow with operator count (in the paper, sklearn GPs make it\n"
       "the slowest overall; this C++ GP is much faster in absolute terms).\n"
       "StreamTune's cost is the M_f refit, roughly independent of query\n"
-      "complexity — the paper's stability claim.\n");
+      "complexity — the paper's stability claim. A timed process that\n"
+      "opens on the training set its predecessor's stop decision fitted\n"
+      "reuses that fit, and times the recommendation alone.\n");
   return 0;
 }

@@ -31,7 +31,8 @@ std::vector<int> ContTuneTuner::Recommend(const sim::StreamEngine& engine,
       double factor = target_in[v] / std::max(ability, 1e-9);
       int jump = static_cast<int>(
           std::ceil(p_cur[v] * factor * options_.big_factor));
-      rec[v] = std::clamp(jump, p_cur[v] + 1, p_max);
+      // Not std::clamp: an operator already at p_max has lo > hi.
+      rec[v] = std::min(std::max(jump, p_cur[v] + 1), p_max);
       continue;
     }
 

@@ -48,6 +48,10 @@ struct TuningOutcome {
   /// Iterations decided by the DS2 rate rule because the fine-tuned model
   /// could not be fitted (StreamTune only). 0 on a healthy process.
   int model_fallbacks = 0;
+  /// Fits of the fine-tuned model this process ran, failed ones included
+  /// (StreamTune only). An iteration that reuses the job's last fit, when
+  /// no feedback was folded since, runs none.
+  int model_fits = 0;
 };
 
 /// One resumable tuning process: measure, recommend, redeploy, until the

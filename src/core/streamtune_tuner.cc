@@ -50,14 +50,16 @@ void StreamTuneTuner::SeedFeedback(const std::string& job,
     samples.erase(samples.begin(),
                   samples.begin() + (samples.size() - kMaxAccumulatedSamples));
   }
-  accumulated_[job] = std::move(samples);
+  JobState& state = jobs_[job];
+  state.feedback = std::move(samples);
+  state.model.reset();
 }
 
 const std::vector<ml::LabeledSample>& StreamTuneTuner::FeedbackFor(
     const std::string& job) const {
   static const std::vector<ml::LabeledSample> kEmpty;
-  auto it = accumulated_.find(job);
-  return it == accumulated_.end() ? kEmpty : it->second;
+  auto it = jobs_.find(job);
+  return it == jobs_.end() ? kEmpty : it->second.feedback;
 }
 
 int StreamTuneTuner::MinSafeParallelism(const ml::BottleneckModel& model,
@@ -110,8 +112,9 @@ Status StreamTuneTuner::Session::Init() {
   // earlier tuning processes ("iteratively refines ... for the target job").
   dataset_ = tuner_->bundle_->WarmUpDataset(
       cluster_, tuner_->options_.warmup_records, tuner_->options_.seed);
-  accumulated_ = &tuner_->accumulated_[engine_->graph().name()];
-  dataset_.insert(dataset_.end(), accumulated_->begin(), accumulated_->end());
+  job_ = &tuner_->jobs_[engine_->graph().name()];
+  dataset_.insert(dataset_.end(), job_->feedback.begin(),
+                  job_->feedback.end());
 
   // The pre-tuning state, shared by every method, tells Algorithm 1 where
   // the current bottlenecks are before the first recommendation.
@@ -152,11 +155,19 @@ Result<bool> StreamTuneTuner::Session::Step() {
     return t;
   };
 
-  // Line 5: fit the monotonic model to the dataset.
-  std::unique_ptr<ml::BottleneckModel> model = tuner_->MakeModel(emb_dim_);
-  bool fitted = false;
-  if (!dataset_.empty()) {
-    fitted = model->Fit(dataset_).ok();
+  // Line 5: fit the monotonic model to the dataset, unless the job's
+  // model was already fitted on exactly this set (see JobState::model).
+  std::unique_ptr<ml::BottleneckModel> fitted;
+  const ml::BottleneckModel* model = nullptr;
+  if (dataset_is_job_set_ && job_->model != nullptr) {
+    model = job_->model.get();
+  } else if (!dataset_.empty()) {
+    fitted = tuner_->MakeModel(emb_dim_);
+    ++outcome_.model_fits;
+    if (fitted->Fit(dataset_).ok()) {
+      model = fitted.get();
+      if (dataset_is_job_set_) job_->model = std::move(fitted);
+    }
   }
 
   // Lines 6-9: recommend in topological order. Graceful degradation:
@@ -164,7 +175,7 @@ Result<bool> StreamTuneTuner::Session::Step() {
   // fall back to the DS2-style rate rule for this iteration rather than
   // aborting the tuning process.
   std::vector<int> rec;
-  if (fitted) {
+  if (model != nullptr) {
     rec = tuner_->Recommend(*engine, *model, cluster_);
   } else if (dataset_.empty()) {
     rec = engine->parallelism();
@@ -285,7 +296,7 @@ Result<bool> StreamTuneTuner::Session::Step() {
   }
 
   // Line 11: fold the fresh Algorithm-1 labels into the dataset (and the
-  // per-job accumulator used by future tuning processes). The monotonic
+  // job's feedback, used by future tuning processes). The monotonic
   // assumption licenses augmentation — a bottleneck at p is a bottleneck
   // at every p' < p, and a safe degree stays safe at every p' > p — and
   // job-specific feedback is replicated so it is not drowned out by the
@@ -298,6 +309,7 @@ Result<bool> StreamTuneTuner::Session::Step() {
   const ml::Matrix emb = tuner_->bundle_->AgnosticEmbeddings(
       cluster_, engine->graph(), engine->current_source_rates());
   const int p_max = engine->max_parallelism();
+  std::vector<ml::LabeledSample>& feedback = job_->feedback;
   for (int v = 0; v < engine->graph().num_operators(); ++v) {
     if (last_labels_[v] < 0) continue;
     ml::LabeledSample s;
@@ -316,15 +328,16 @@ Result<bool> StreamTuneTuner::Session::Step() {
     }
     for (ml::LabeledSample& is : induced) {
       dataset_.push_back(is);
-      accumulated_->push_back(std::move(is));
+      feedback.push_back(std::move(is));
     }
+    job_->model.reset();  // fitted on the feedback before this fold
     // FIFO eviction: recent feedback reflects the current workload and
     // model state; stale scale-up labels must not dominate forever.
-    if (accumulated_->size() > kMaxAccumulatedSamples) {
-      accumulated_->erase(
-          accumulated_->begin(),
-          accumulated_->begin() +
-              (accumulated_->size() - kMaxAccumulatedSamples));
+    if (feedback.size() > kMaxAccumulatedSamples) {
+      feedback.erase(feedback.begin(),
+                     feedback.begin() +
+                         (feedback.size() - kMaxAccumulatedSamples));
+      dataset_is_job_set_ = false;
     }
   }
   return false;

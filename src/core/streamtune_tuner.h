@@ -52,6 +52,8 @@ struct StreamTuneOptions {
 
 /// The StreamTune online tuner.
 class StreamTuneTuner : public baselines::Tuner {
+  struct JobState;
+
  public:
   StreamTuneTuner(std::shared_ptr<const PretrainedBundle> bundle,
                   StreamTuneOptions options = {});
@@ -88,8 +90,13 @@ class StreamTuneTuner : public baselines::Tuner {
     int cluster_ = 0;
     int emb_dim_ = 0;
     std::vector<ml::LabeledSample> dataset_;
-    /// The tuner's per-job feedback accumulator (stable std::map ref).
-    std::vector<ml::LabeledSample>* accumulated_ = nullptr;
+    /// The tuner's state for this job (stable std::map ref).
+    JobState* job_ = nullptr;
+    /// True while dataset_ is exactly WarmUpDataset(cluster_) followed by
+    /// job_->feedback. A FIFO eviction ends that for good (dataset_ keeps
+    /// the evicted rows): from then on this session neither reads nor
+    /// stores job_->model.
+    bool dataset_is_job_set_ = true;
     sim::JobMetrics last_metrics_;
     std::vector<int> last_labels_;
     bool last_backpressure_ = false;
@@ -103,7 +110,7 @@ class StreamTuneTuner : public baselines::Tuner {
 
   /// Starts a resumable tuning process on `engine` (already deployed). The
   /// tuner must outlive the session; a tuner's sessions must not overlap
-  /// (they share the feedback accumulator).
+  /// (they share the job's feedback and fitted M_f).
   Result<std::unique_ptr<Session>> NewSession(sim::StreamEngine* engine);
 
   /// One recommendation pass (Algorithm 2 lines 6-9) with a fitted model:
@@ -120,7 +127,8 @@ class StreamTuneTuner : public baselines::Tuner {
   /// tuning sessions (e.g. a knowledge base), so a fresh process
   /// warm-starts with the job's own fine-tune data instead of only the
   /// cluster's generic warm-up corpus. Replaces any existing accumulation
-  /// for `job`; truncated FIFO to the accumulator bound.
+  /// for `job` (and drops its fitted M_f); truncated FIFO to the
+  /// accumulator bound. Call it between tuning processes of `job`.
   void SeedFeedback(const std::string& job,
                     std::vector<ml::LabeledSample> samples);
 
@@ -145,9 +153,22 @@ class StreamTuneTuner : public baselines::Tuner {
   std::shared_ptr<const PretrainedBundle> bundle_;
   StreamTuneOptions options_;
 
-  /// Per-job feedback collected across tuning processes (keyed by job
-  /// name), bounded by kMaxAccumulatedSamples.
-  std::map<std::string, std::vector<ml::LabeledSample>> accumulated_;
+  /// What the tuner keeps for one job across its tuning processes.
+  struct JobState {
+    /// Feedback collected so far, bounded by kMaxAccumulatedSamples.
+    std::vector<ml::LabeledSample> feedback;
+    /// M_f fitted on the job's cluster's WarmUpDataset followed by
+    /// `feedback`, or null. Every change to `feedback` drops it. A fit is
+    /// a pure function of the options and the dataset, so a session about
+    /// to fit that same set uses this model instead: the stop decision
+    /// that ends a process folds nothing, and the next process opens on
+    /// its set.
+    std::unique_ptr<ml::BottleneckModel> model;
+  };
+
+  /// Keyed by job name: one name stands for one graph, so for one cluster
+  /// of the fixed bundle.
+  std::map<std::string, JobState> jobs_;
 };
 
 }  // namespace streamtune::core

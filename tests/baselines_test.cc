@@ -139,6 +139,26 @@ TEST(ContTuneTest, BigPhaseScalesUpUnderDeficit) {
   EXPECT_GT(outcome->total_parallelism, job.num_operators());
 }
 
+// The big phase raises a bottleneck to at least one above its degree, but
+// never past max_parallelism: an operator already at the cap stays there
+// (the bound above the cap is below the floor, which std::clamp forbids).
+TEST(ContTuneTest, BottleneckAtMaxParallelismStaysAtCap) {
+  JobGraph job = Q3();
+  sim::FlinkEngine engine = NoisyEngine(job);
+  const int p_max = engine.max_parallelism();
+  const std::vector<int> at_cap(job.num_operators(), p_max);
+  ASSERT_TRUE(engine.Deploy(at_cap).ok());
+  engine.ScaleAllSources(1000.0);
+  auto m = engine.Measure();
+  ASSERT_TRUE(m.ok());
+  ASSERT_TRUE(m->severe_backpressure);
+  ContTuneTuner conttune;
+  auto outcome = conttune.Tune(&engine);
+  ASSERT_TRUE(outcome.ok());
+  EXPECT_EQ(outcome->final_parallelism, at_cap);
+  EXPECT_TRUE(outcome->ended_with_backpressure);
+}
+
 std::vector<ZeroTuneExample> ZeroTuneCorpus() {
   std::vector<JobGraph> jobs;
   for (int i = 0; i < 6; ++i) {

@@ -215,6 +215,127 @@ TEST_F(StreamTuneTest, NanSeedFeedbackFallsBackToDs2) {
   EXPECT_EQ(outcomes[0].iterations, outcomes[1].iterations);
 }
 
+// A long-lived tuner opens every process after the first on exactly the
+// set its previous process's stop decision fitted (that decision folds
+// nothing), so it reuses that fit. A fresh tuner seeded with the same
+// feedback refits the set: every family must decide alike either way.
+TEST_F(StreamTuneTest, ReusedFitDecidesLikeARefit) {
+  JobGraph job = workloads::BuildPqpJob(workloads::PqpTemplate::kTwoWayJoin,
+                                        10);
+  for (FineTuneModel mtype : {FineTuneModel::kSvm, FineTuneModel::kXgboost,
+                              FineTuneModel::kNn}) {
+    SCOPED_TRACE(FineTuneModelName(mtype));
+    StreamTuneOptions opts;
+    opts.model = mtype;
+    opts.nn.epochs = 60;  // keep the NN ablation fast in tests
+    StreamTuneTuner tuner(bundle_, opts);
+    sim::FlinkEngine engine = MakeEngine(job);
+    sim::FlinkEngine fresh_engine = MakeEngine(job);
+    const std::vector<int> ones(job.num_operators(), 1);
+    ASSERT_TRUE(engine.Deploy(ones).ok());
+    ASSERT_TRUE(fresh_engine.Deploy(ones).ok());
+    int process = 0;
+    for (double mult : {10.0, 3.0, 7.0, 5.0, 10.0}) {
+      SCOPED_TRACE(mult);
+      engine.ScaleAllSources(mult);
+      fresh_engine.ScaleAllSources(mult);
+      StreamTuneTuner fresh(bundle_, opts);
+      fresh.SeedFeedback(job.name(), tuner.FeedbackFor(job.name()));
+      auto reused = tuner.Tune(&engine);
+      auto refit = fresh.Tune(&fresh_engine);
+      ASSERT_TRUE(reused.ok());
+      ASSERT_TRUE(refit.ok());
+      EXPECT_EQ(reused->final_parallelism, refit->final_parallelism);
+      EXPECT_EQ(reused->reconfigurations, refit->reconfigurations);
+      EXPECT_EQ(reused->iterations, refit->iterations);
+      EXPECT_EQ(refit->model_fits, refit->iterations);
+      EXPECT_EQ(reused->model_fits, refit->model_fits - (process > 0 ? 1 : 0));
+      EXPECT_EQ(tuner.FeedbackFor(job.name()).size(),
+                fresh.FeedbackFor(job.name()).size());
+      ++process;
+    }
+  }
+}
+
+// Replacing a job's feedback drops its fitted model, even when the new
+// feedback equals the old: the next process refits.
+TEST_F(StreamTuneTest, SeedFeedbackForcesARefit) {
+  JobGraph job = workloads::BuildPqpJob(workloads::PqpTemplate::kLinear, 7);
+  StreamTuneTuner kept(bundle_), reseeded(bundle_);
+  sim::FlinkEngine kept_engine = MakeEngine(job);
+  sim::FlinkEngine reseeded_engine = MakeEngine(job);
+  const std::vector<int> ones(job.num_operators(), 1);
+  ASSERT_TRUE(kept_engine.Deploy(ones).ok());
+  ASSERT_TRUE(reseeded_engine.Deploy(ones).ok());
+  std::vector<baselines::TuningOutcome> kept_out, reseeded_out;
+  for (double mult : {8.0, 4.0}) {
+    kept_engine.ScaleAllSources(mult);
+    reseeded_engine.ScaleAllSources(mult);
+    reseeded.SeedFeedback(job.name(), reseeded.FeedbackFor(job.name()));
+    auto a = kept.Tune(&kept_engine);
+    auto b = reseeded.Tune(&reseeded_engine);
+    ASSERT_TRUE(a.ok());
+    ASSERT_TRUE(b.ok());
+    kept_out.push_back(*a);
+    reseeded_out.push_back(*b);
+  }
+  EXPECT_EQ(kept_out[1].final_parallelism, reseeded_out[1].final_parallelism);
+  EXPECT_EQ(kept_out[1].iterations, reseeded_out[1].iterations);
+  EXPECT_EQ(reseeded_out[1].model_fits, reseeded_out[1].iterations);
+  EXPECT_EQ(kept_out[1].model_fits, reseeded_out[1].model_fits - 1);
+}
+
+// With the feedback at its cap every fold evicts, and the session's dataset
+// keeps the evicted rows: its later fits are not of the job's set, so
+// none may be kept for the next process, which must refit.
+TEST_F(StreamTuneTest, EvictingProcessKeepsNoFit) {
+  JobGraph job = workloads::BuildPqpJob(workloads::PqpTemplate::kTwoWayJoin,
+                                        9);
+  const std::vector<int> ones(job.num_operators(), 1);
+  std::vector<ml::LabeledSample> full;
+  {
+    StreamTuneTuner donor(bundle_);
+    sim::FlinkEngine engine = MakeEngine(job);
+    ASSERT_TRUE(engine.Deploy(ones).ok());
+    engine.ScaleAllSources(10.0);
+    ASSERT_TRUE(donor.Tune(&engine).ok());
+    const std::vector<ml::LabeledSample>& some = donor.FeedbackFor(job.name());
+    ASSERT_FALSE(some.empty());
+    while (full.size() < StreamTuneTuner::kMaxAccumulatedSamples) {
+      full.insert(full.end(), some.begin(), some.end());
+    }
+  }
+  StreamTuneTuner tuner(bundle_);
+  tuner.SeedFeedback(job.name(), full);
+  ASSERT_EQ(tuner.FeedbackFor(job.name()).size(),
+            StreamTuneTuner::kMaxAccumulatedSamples);
+  sim::FlinkEngine engine = MakeEngine(job);
+  sim::FlinkEngine fresh_engine = MakeEngine(job);
+  ASSERT_TRUE(engine.Deploy(ones).ok());
+  ASSERT_TRUE(fresh_engine.Deploy(ones).ok());
+  for (double mult : {10.0, 4.0}) {
+    SCOPED_TRACE(mult);
+    engine.ScaleAllSources(mult);
+    fresh_engine.ScaleAllSources(mult);
+    StreamTuneTuner fresh(bundle_);
+    fresh.SeedFeedback(job.name(), tuner.FeedbackFor(job.name()));
+    auto kept = tuner.Tune(&engine);
+    auto refit = fresh.Tune(&fresh_engine);
+    ASSERT_TRUE(kept.ok());
+    ASSERT_TRUE(refit.ok());
+    // The first process folds, so it evicts; the second must refit.
+    if (mult == 10.0) {
+      ASSERT_GT(kept->reconfigurations, 0);
+    }
+    EXPECT_EQ(kept->final_parallelism, refit->final_parallelism);
+    EXPECT_EQ(kept->reconfigurations, refit->reconfigurations);
+    EXPECT_EQ(kept->iterations, refit->iterations);
+    EXPECT_EQ(kept->model_fits, refit->model_fits);
+    EXPECT_EQ(tuner.FeedbackFor(job.name()).size(),
+              StreamTuneTuner::kMaxAccumulatedSamples);
+  }
+}
+
 TEST_F(StreamTuneTest, NameReflectsModelFamily) {
   StreamTuneOptions opts;
   EXPECT_EQ(StreamTuneTuner(bundle_, opts).name(), "StreamTune");

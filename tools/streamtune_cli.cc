@@ -350,13 +350,13 @@ int CmdTune(const Flags& flags) {
                   std::to_string(outcome->final_parallelism[v])});
   }
   table.Print();
-  // model_fallbacks counts iterations where M_f could not be fitted and
-  // the step ran as DS2.
+  // model_fits counts the M_f fits the process ran; model_fallbacks the
+  // iterations where M_f could not be fitted and the step ran as DS2.
   std::printf(
-      "total=%d reconfigurations=%d tuning_minutes=%.0f model_fallbacks=%d "
-      "clean=%s\n",
+      "total=%d reconfigurations=%d tuning_minutes=%.0f model_fits=%d "
+      "model_fallbacks=%d clean=%s\n",
       outcome->total_parallelism, outcome->reconfigurations,
-      outcome->tuning_minutes, outcome->model_fallbacks,
+      outcome->tuning_minutes, outcome->model_fits, outcome->model_fallbacks,
       outcome->ended_with_backpressure ? "NO (backpressure!)" : "yes");
   if (chaos) {
     const sim::ChaosStats& cs = chaos->stats();
