@@ -18,6 +18,21 @@
 // (value, row id) order, and its totals in row-id order, exactly as a
 // per-node sort with that comparator would: the trees do not depend on how
 // the lists were built.
+//
+// The search is sparsity-aware (XGBoost's sparse split finding). Most
+// embedding columns are ReLU outputs: mostly exact zeros, never negative.
+// In a column with no negative entry (-0.0 counts as zero), the zero rows
+// are the first run of the (value, row id) order, in row-id order, so the
+// column's list holds only its nonzero rows and each node sums its zero run
+// directly: one row-major pass over the node's row ids accumulates
+// mask * grad and mask * hess for every such column at once, with a 1.0/0.0
+// mask. That is exact: a masked-out row adds +-0.0, which leaves the running
+// sum unchanged, so each sum is the zero run's prefix sum in row-id order,
+// bit for bit. The scan starts from it, evaluates the zero->nonzero
+// boundary, then continues over the nonzero rows; a column with a negative
+// entry lists every row and has an empty zero run. Since a node's rows
+// split differently in each list, every list carries its own position
+// range per depth of the current path.
 
 #pragma once
 
@@ -31,12 +46,8 @@ namespace streamtune::ml {
 struct GbdtConfig {
   int num_trees = 40;
   int max_depth = 4;
-  double learning_rate = 0.2;
-  double reg_lambda = 1.0;      ///< L2 regularization on leaf values
   double min_split_gain = 0.0;  ///< gamma
-  double min_child_hessian = 1e-3;
   int min_samples_leaf = 2;
-  double parallelism_scale = 100.0;
   /// When false, the monotone constraint is dropped (for ablations/tests).
   bool enforce_monotonic = true;
 };
@@ -58,12 +69,21 @@ class MonotonicGbdt : public BottleneckModel {
 
   int num_trees_built() const { return static_cast<int>(trees_.size()); }
 
+  /// Shrinkage applied to every leaf value.
+  static constexpr double kLearningRate = 0.2;
+  /// L2 regularization on leaf values.
+  static constexpr double kRegLambda = 1.0;
+  /// A split needs at least this hessian sum on each side.
+  static constexpr double kMinChildHessian = 1e-3;
+  /// The parallelism feature is the degree divided by this.
+  static constexpr double kParallelismScale = 100.0;
+
  private:
   struct TreeNode {
     int feature = -1;        // -1 for leaves
     double threshold = 0.0;  // go left if x[feature] < threshold
     int left = -1, right = -1;
-    double value = 0.0;  // leaf value (already shrunk by learning_rate)
+    double value = 0.0;  // leaf value (already shrunk by kLearningRate)
   };
   struct Tree {
     std::vector<TreeNode> nodes;
@@ -73,8 +93,8 @@ class MonotonicGbdt : public BottleneckModel {
 
   std::vector<double> MakeFeatures(const std::vector<double>& h,
                                    int parallelism) const;
-  int BuildNode(Tree* tree, FitState* s, int begin, int end, int depth,
-                double lower, double upper);
+  int BuildNode(Tree* tree, FitState* s, int depth, double lower,
+                double upper);
 
   int embedding_dim_;
   GbdtConfig config_;

@@ -151,8 +151,9 @@ TEST(GbdtTest, DepthLimitRespected) {
 //
 // ReferenceGbdt is the plain exact-greedy fit: every node copies its row
 // list and sorts it per feature by (value, row id). MonotonicGbdt presorts
-// once per Fit and partitions down the tree; both must build the same trees,
-// so their logits must agree bit for bit.
+// once per Fit, partitions down the tree and sums the zero run of each
+// column without negative entries apart from its list; both must build the
+// same trees, so their logits must agree bit for bit.
 
 class ReferenceGbdt {
  public:
@@ -210,7 +211,7 @@ class ReferenceGbdt {
 
   std::vector<double> Features(const std::vector<double>& h, int p) const {
     std::vector<double> x = h;
-    x.push_back(p / config_.parallelism_scale);
+    x.push_back(p / MonotonicGbdt::kParallelismScale);
     return x;
   }
 
@@ -233,11 +234,11 @@ class ReferenceGbdt {
       g_total += grad[i];
       h_total += hess[i];
     }
-    const double lam = config_.reg_lambda;
+    const double lam = MonotonicGbdt::kRegLambda;
     int node_id = static_cast<int>(tree->size());
     tree->emplace_back();
     (*tree)[node_id].value =
-        config_.learning_rate *
+        MonotonicGbdt::kLearningRate *
         Clamp(-g_total / (h_total + lam), lower, upper);
     if (depth >= config_.max_depth ||
         static_cast<int>(indices.size()) < 2 * config_.min_samples_leaf) {
@@ -259,7 +260,8 @@ class ReferenceGbdt {
         hl += hess[sorted[k]];
         if (x[sorted[k]][f] >= x[sorted[k + 1]][f]) continue;
         double gr = g_total - gl, hr = h_total - hl;
-        if (hl < config_.min_child_hessian || hr < config_.min_child_hessian) {
+        if (hl < MonotonicGbdt::kMinChildHessian ||
+            hr < MonotonicGbdt::kMinChildHessian) {
           continue;
         }
         if (static_cast<int>(k + 1) < config_.min_samples_leaf ||
@@ -313,6 +315,20 @@ class ReferenceGbdt {
 
 enum class Labels { kThreshold, kAllPositive, kAllNegative };
 
+// How FoldShapedRows draws embedding entries.
+enum class Shape {
+  // One of `levels` values in [0, 1): zero one time in `levels`.
+  kLevels,
+  // ReLU outputs, as M_f sees them: 70% exact zeros, a quarter of them
+  // -0.0, else one of `levels` positive values. Column 0 is all zero, half
+  // of it -0.0.
+  kRelu,
+  // kRelu, but the nonzero entries of every third column (1, 4, ...) are
+  // negated half the time, so those columns hold zeros between negative and
+  // positive values.
+  kReluWithNegatives,
+};
+
 struct FitCase {
   const char* name;
   int rows;       // training-set size
@@ -321,6 +337,7 @@ struct FitCase {
   bool constant_column;
   Labels labels;
   GbdtConfig config;
+  Shape shape = Shape::kLevels;
 };
 
 GbdtConfig Config(bool monotone, int max_depth, int min_samples_leaf,
@@ -333,17 +350,33 @@ GbdtConfig Config(bool monotone, int max_depth, int min_samples_leaf,
   return cfg;
 }
 
+// One embedding entry of column d in shape `shape`.
+double DrawEntry(Shape shape, int d, int levels, Rng* rng) {
+  if (shape == Shape::kLevels) {
+    return rng->UniformInt(0, levels - 1) / static_cast<double>(levels);
+  }
+  if (rng->Bernoulli(0.7)) return rng->Bernoulli(0.25) ? -0.0 : 0.0;
+  const double v = rng->UniformInt(1, levels) / static_cast<double>(levels);
+  if (shape == Shape::kReluWithNegatives && d % 3 == 1 &&
+      rng->Bernoulli(0.5)) {
+    return -v;
+  }
+  return v;
+}
+
 // Rows in the session fold's shape: every observation is pushed three times,
 // plus one sample induced by monotonicity (bottleneck at p => at p/2; clean
-// at p => clean at 2p). Embedding entries take `levels` values, so nearly
-// every feature is full of ties.
+// at p => clean at 2p). Embedding entries take few distinct values (see
+// Shape), so nearly every feature is full of ties.
 std::vector<LabeledSample> FoldShapedRows(const FitCase& c, Rng* rng) {
   std::vector<LabeledSample> rows;
   while (static_cast<int>(rows.size()) < c.rows) {
     LabeledSample s;
     for (int d = 0; d < c.dim; ++d) {
-      s.embedding.push_back(rng->UniformInt(0, c.levels - 1) /
-                            static_cast<double>(c.levels));
+      s.embedding.push_back(DrawEntry(c.shape, d, c.levels, rng));
+    }
+    if (c.shape != Shape::kLevels) {
+      s.embedding[0] = rng->Bernoulli(0.5) ? -0.0 : 0.0;
     }
     if (c.constant_column) s.embedding[0] = 0.5;
     s.parallelism = rng->UniformInt(1, 12) * 8;
@@ -421,7 +454,20 @@ INSTANTIATE_TEST_SUITE_P(
         FitCase{"n900_unconstrained_depth6_leaf5", 900, 8, 2, true,
                 Labels::kThreshold, Config(false, 6, 5)},
         FitCase{"n1620_production_width", 1620, 38, 4, false,
-                Labels::kThreshold, Config(true, 4, 2)}),
+                Labels::kThreshold, Config(true, 4, 2)},
+        // Sparse columns: most rows sit in the zero run the split search
+        // sums apart from the sorted lists.
+        FitCase{"relu_n1000", 1000, 16, 3, false, Labels::kThreshold,
+                Config(true, 4, 2), Shape::kRelu},
+        FitCase{"relu_n700_depth8_leaf1", 700, 12, 3, false,
+                Labels::kThreshold, Config(true, 8, 1), Shape::kRelu},
+        FitCase{"relu_n1100_unconstrained", 1100, 12, 4, false,
+                Labels::kThreshold, Config(false, 4, 2), Shape::kRelu},
+        FitCase{"relu_negatives_n800", 800, 16, 4, false, Labels::kThreshold,
+                Config(true, 4, 2), Shape::kReluWithNegatives},
+        FitCase{"relu_negatives_n500_unconstrained_depth6_leaf1", 500, 12, 3,
+                false, Labels::kThreshold, Config(false, 6, 1),
+                Shape::kReluWithNegatives}),
     [](const ::testing::TestParamInfo<FitCase>& info) {
       return std::string(info.param.name);
     });
