@@ -111,8 +111,11 @@ void BM_StreamTuneRecommendation(benchmark::State& state) {
 // Every method times the same fixed number of iterations after the same
 // warm-up. The tuners keep their history across iterations, so letting
 // google-benchmark pick the count (1000+ for the fast methods) would time a
-// GP over thousands of points for ContTune instead of one iteration.
-constexpr int kTimedIterations = 3;
+// GP over thousands of points for ContTune instead of one iteration. Three
+// iterations left a StreamTune cell anywhere in 17-38 ms from run to run;
+// twenty average the fit's run-to-run noise down far enough to show a
+// change in it.
+constexpr int kTimedIterations = 20;
 
 BENCHMARK(BM_Ds2Recommendation)
     ->DenseRange(0, 2)
@@ -139,6 +142,8 @@ int main(int argc, char** argv) {
       "the slowest overall; this C++ GP is much faster in absolute terms).\n"
       "StreamTune's cost is the M_f refit, roughly independent of query\n"
       "complexity — the paper's stability claim. Every StreamTune cell\n"
-      "times a fit: the tuner drops its kept fit before each timed call.\n");
+      "times a fit: the tuner drops its kept fit before each timed call.\n"
+      "A fit of 256+ rows grows its trees on up to 4 threads (the CPUs\n"
+      "this process may run on); `taskset -c 0` times it on one.\n");
   return 0;
 }

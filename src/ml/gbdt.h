@@ -30,9 +30,23 @@
 // sum unchanged, so each sum is the zero run's prefix sum in row-id order,
 // bit for bit. The scan starts from it, evaluates the zero->nonzero
 // boundary, then continues over the nonzero rows; a column with a negative
-// entry lists every row and has an empty zero run. Since a node's rows
-// split differently in each list, every list carries its own position
-// range per depth of the current path.
+// entry lists every row and has an empty zero run.
+//
+// The search is split by feature column (XGBoost's column blocks again).
+// Fit deals the columns into T shards, balanced by list length, and grows
+// the trees level by level on T threads, one shard each. A thread owns its
+// shard's sorted lists, zero mask and per-node ranges, and keeps private
+// copies of the row ids, margins and gradients, recomputing every node's
+// totals itself in row-id order. At each level it scans its features for
+// every node that may split and writes one best candidate per (node,
+// feature); after the level's one barrier, every thread reduces those
+// candidates in feature order with a strict >, which keeps the serial
+// scan's first-best tie break, so all threads take the same splits and then
+// partition their own lists. The scan of each feature is the serial one,
+// so the trees are the same for every T. T is derived, never set: the CPUs
+// in the process's affinity mask, at most 4 and at most the column count;
+// 1 below 256 rows, inside a ThreadPool task, or when a thread cannot be
+// started.
 
 #pragma once
 
@@ -68,6 +82,9 @@ class MonotonicGbdt : public BottleneckModel {
   double PredictLogit(const std::vector<double>& h, int parallelism) const;
 
   int num_trees_built() const { return static_cast<int>(trees_.size()); }
+  /// Threads the last Fit grew its trees on; 1 when it ran on the calling
+  /// thread alone.
+  int fit_threads() const { return fit_threads_; }
 
   /// Shrinkage applied to every leaf value.
   static constexpr double kLearningRate = 0.2;
@@ -89,16 +106,18 @@ class MonotonicGbdt : public BottleneckModel {
     std::vector<TreeNode> nodes;
     double Predict(const std::vector<double>& x) const;
   };
-  struct FitState;  // one Fit's columns, sorted lists and gradients
+  struct Shard;     // one fit thread's columns and private state
+  struct FitState;  // one Fit's feature block, shards and candidate slots
 
   std::vector<double> MakeFeatures(const std::vector<double>& h,
                                    int parallelism) const;
-  int BuildNode(Tree* tree, FitState* s, int depth, double lower,
-                double upper);
+  // Grows every tree on shard `shard` of `s`; shard 0 writes the nodes.
+  void GrowTrees(FitState* s, int shard) const;
 
   int embedding_dim_;
   GbdtConfig config_;
   double base_score_ = 0.0;  // initial log-odds
+  int fit_threads_ = 0;
   std::vector<Tree> trees_;
 };
 

@@ -4,8 +4,15 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <numeric>
+#include <thread>
+#include <utility>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "common/math_util.h"
 #include "common/rng.h"
@@ -472,15 +479,122 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.name);
     });
 
-// Fit keeps all its scratch local: four pool threads fitting one model each
-// on the same data must reproduce the serial model's logits exactly.
+// ---------------------------------------------------------------------------
+// Fit threads.
+//
+// A top-level Fit of at least 256 rows shards its columns over the CPUs in
+// the process's affinity mask (at most 4, at most one per column); a Fit
+// inside a ThreadPool task runs on its calling thread alone. Both must grow
+// the same trees as each other and as the per-node-sort reference.
+
+// The fit threads the rule above gives on this host.
+int ExpectedFitThreads(int rows, int features) {
+  if (rows < 256) return 1;
+  int cpus = static_cast<int>(std::thread::hardware_concurrency());
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) cpus = CPU_COUNT(&set);
+#endif
+  return std::clamp(std::min(cpus, features), 1, 4);
+}
+
+// Runs fn inside a task of a two-thread pool.
+void InPoolTask(const std::function<void()>& fn) {
+  ThreadPool pool(2);
+  pool.ParallelFor(0, 2, [&](int64_t i) {
+    if (i == 0) fn();
+  });
+}
+
+class GbdtThreadedTest : public ::testing::TestWithParam<FitCase> {};
+
+TEST_P(GbdtThreadedTest, TopLevelAndPoolTaskFitsMatchReferenceBitForBit) {
+  const FitCase& c = GetParam();
+  Rng rng(2000 + c.rows);
+  const std::vector<LabeledSample> data = FoldShapedRows(c, &rng);
+  MonotonicGbdt top(c.dim, c.config);
+  ASSERT_TRUE(top.Fit(data).ok());
+  EXPECT_EQ(top.fit_threads(), ExpectedFitThreads(c.rows, c.dim + 1));
+  MonotonicGbdt task(c.dim, c.config);
+  bool task_fitted = false;
+  InPoolTask([&] { task_fitted = task.Fit(data).ok(); });
+  ASSERT_TRUE(task_fitted);
+  EXPECT_EQ(task.fit_threads(), 1);
+  ReferenceGbdt reference(c.dim, c.config);
+  reference.Fit(data);
+
+  auto expect_same = [&](const std::vector<double>& h, int p) {
+    const uint64_t want = std::bit_cast<uint64_t>(reference.PredictLogit(h, p));
+    EXPECT_EQ(std::bit_cast<uint64_t>(top.PredictLogit(h, p)), want)
+        << "top-level fit, p=" << p;
+    EXPECT_EQ(std::bit_cast<uint64_t>(task.PredictLogit(h, p)), want)
+        << "pool-task fit, p=" << p;
+  };
+  for (const LabeledSample& s : data) expect_same(s.embedding, s.parallelism);
+  for (int probe = 0; probe < 200; ++probe) {
+    std::vector<double> h;
+    for (int d = 0; d < c.dim; ++d) h.push_back(rng.Uniform(-0.1, 1.1));
+    expect_same(h, rng.UniformInt(1, 200));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GbdtThreadedTest,
+    ::testing::Values(
+        // M_f's shape: 38 embedding columns of ReLU outputs and p.
+        FitCase{"production_relu_n1000", 1000, 38, 40, false,
+                Labels::kThreshold, Config(true, 4, 2), Shape::kRelu},
+        // Two columns: fewer than the fit may have threads.
+        FitCase{"dim1_n600", 600, 1, 5, false, Labels::kThreshold,
+                Config(true, 4, 2)},
+        // Every root is a leaf: no level is scanned.
+        FitCase{"depth0_n400", 400, 6, 3, false, Labels::kThreshold,
+                Config(true, 0, 2), Shape::kRelu},
+        FitCase{"stumps_n500", 500, 8, 3, false, Labels::kThreshold,
+                Config(true, 1, 2), Shape::kRelu},
+        // No child of a 500-row root can hold 2 * 200 rows, so every tree
+        // stops after scanning one level, far above max_depth: tree after
+        // tree, the next root's scan follows an odd number of scans.
+        FitCase{"one_level_per_tree_n500_leaf200", 500, 4, 3, false,
+                Labels::kThreshold, Config(true, 6, 200), Shape::kRelu},
+        FitCase{"unconstrained_depth6_leaf1_n700", 700, 12, 3, false,
+                Labels::kThreshold, Config(false, 6, 1),
+                Shape::kReluWithNegatives}),
+    [](const ::testing::TestParamInfo<FitCase>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST(GbdtThreadedTest, ThreadCountFollowsRowsColumnsAndPool) {
+  Rng rng(91);
+  for (const auto& [rows, dim] :
+       std::vector<std::pair<int, int>>{{255, 38}, {256, 38}, {300, 1}}) {
+    const FitCase c{"count", rows, dim, 3, false, Labels::kThreshold,
+                    Config(true, 2, 2)};
+    const std::vector<LabeledSample> data = FoldShapedRows(c, &rng);
+    MonotonicGbdt top(dim, c.config);
+    ASSERT_TRUE(top.Fit(data).ok());
+    EXPECT_EQ(top.fit_threads(), ExpectedFitThreads(rows, dim + 1))
+        << rows << " rows, " << dim + 1 << " columns";
+    // Inside a pool task the fit starts no thread of its own.
+    MonotonicGbdt task(dim, c.config);
+    InPoolTask([&] { ASSERT_TRUE(task.Fit(data).ok()); });
+    EXPECT_EQ(task.fit_threads(), 1) << rows << " rows in a pool task";
+  }
+}
+
+// Four pool tasks fit one model each on the same data. A fit inside a pool
+// task runs on its own thread alone, so these are serial fits side by side,
+// sharing nothing; they must reproduce the logits of the same data fitted
+// at top level, which is sharded over the fit threads (600 rows).
 TEST(GbdtTest, ConcurrentFitsMatchSerial) {
   const FitCase c{"concurrent", 600, 8, 3, false, Labels::kThreshold,
                   Config(true, 4, 2)};
   Rng rng(77);
   const std::vector<LabeledSample> data = FoldShapedRows(c, &rng);
-  MonotonicGbdt serial(c.dim, c.config);
-  ASSERT_TRUE(serial.Fit(data).ok());
+  MonotonicGbdt threaded(c.dim, c.config);
+  ASSERT_TRUE(threaded.Fit(data).ok());
+  EXPECT_EQ(threaded.fit_threads(), ExpectedFitThreads(c.rows, c.dim + 1));
 
   constexpr int kThreads = 4;
   std::vector<MonotonicGbdt> models(kThreads, MonotonicGbdt(c.dim, c.config));
@@ -491,12 +605,13 @@ TEST(GbdtTest, ConcurrentFitsMatchSerial) {
   });
   for (int t = 0; t < kThreads; ++t) {
     ASSERT_EQ(fitted[t], 1) << "thread " << t;
+    EXPECT_EQ(models[t].fit_threads(), 1) << "thread " << t;
     for (const LabeledSample& s : data) {
       EXPECT_EQ(
           std::bit_cast<uint64_t>(models[t].PredictLogit(s.embedding,
                                                          s.parallelism)),
           std::bit_cast<uint64_t>(
-              serial.PredictLogit(s.embedding, s.parallelism)))
+              threaded.PredictLogit(s.embedding, s.parallelism)))
           << "thread " << t;
     }
   }

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/math_util.h"
+#include "common/rng.h"
 #include "ml/nn.h"
 #include "ml/tape.h"
 
@@ -105,6 +106,49 @@ TEST(AdamTest, SubnormalFirstMomentsLeaveWeightsUnchanged) {
     }
   }
   ASSERT_TRUE(crossed_subnormal);
+  EXPECT_EQ(mismatches, 0);
+}
+
+TEST(AdamTest, UnitBiasCorrectionLeavesWeightsUnchanged) {
+  // From t = 356 on, 1 - 0.9^t rounds to exactly 1.0 and Adam no longer
+  // divides the first moment by it. A replica of the textbook update, which
+  // always divides, must produce the same weight bits after every step,
+  // before and after the switch.
+  ASSERT_LT(1.0 - std::pow(0.9, 355), 1.0);
+  ASSERT_EQ(1.0 - std::pow(0.9, 356), 1.0);
+  constexpr int kWidth = 6;
+  constexpr double kLr = 0.003;
+  Rng rng(356);
+  Var x = Param(Matrix(1, kWidth));
+  std::vector<double> ref_w(kWidth), ref_m(kWidth, 0.0), ref_v(kWidth, 0.0);
+  for (int c = 0; c < kWidth; ++c) {
+    ref_w[c] = rng.Uniform(-1.0, 1.0);
+    x->value.at(0, c) = ref_w[c];
+  }
+  Adam opt({x}, kLr);
+  int mismatches = 0;
+  for (int t = 1; t <= 1000; ++t) {
+    x->grad = Matrix(1, kWidth);
+    std::vector<double> g(kWidth);
+    for (int c = 0; c < kWidth; ++c) {
+      g[c] = rng.Uniform(-2.0, 2.0);
+      x->grad.at(0, c) = g[c];
+    }
+    opt.Step();
+
+    const double bc1 = 1.0 - std::pow(0.9, t);
+    const double bc2 = 1.0 - std::pow(0.999, t);
+    for (int c = 0; c < kWidth; ++c) {
+      ref_m[c] = 0.9 * ref_m[c] + (1.0 - 0.9) * g[c];
+      ref_v[c] = 0.999 * ref_v[c] + (1.0 - 0.999) * g[c] * g[c];
+      ref_w[c] -= kLr * (ref_m[c] / bc1) /
+                  (std::sqrt(ref_v[c] / bc2) + 1e-8);
+      if (std::bit_cast<uint64_t>(x->value.at(0, c)) !=
+          std::bit_cast<uint64_t>(ref_w[c])) {
+        ++mismatches;
+      }
+    }
+  }
   EXPECT_EQ(mismatches, 0);
 }
 
