@@ -1,25 +1,25 @@
-// Per-pair GED policy, measured end to end (DESIGN.md §14).
+// The label-set screen of the one GED query, measured end to end
+// (DESIGN.md §14).
 //
 // Pre-train GED assignment (graph/): assign a recurring-workload corpus to
-// its nearest center by threshold-pruned GED, once with the per-pair policy
-// pinned to the fixed bounded search (STREAMTUNE_GED_POLICY=bounded) and
-// once adaptive. The adaptive run must produce the identical assignment
-// (outcome invariance) while skipping Prepare + greedy + A* for every pair
-// the lower-bound screen already proves dissimilar.
+// its nearest center by threshold-pruned GED, once unscreened (ComputeGed,
+// the AStar+-LSa search, on every pair) and once screened (QueryGed). The
+// screened run must produce the identical assignment (outcome invariance)
+// while skipping Prepare + greedy + A* for every pair the lower-bound screen
+// already proves dissimilar.
 //
-// Writes BENCH_exec.json with host provenance and the GED policy histogram.
+// Writes BENCH_exec.json with host provenance.
 //
 // Environment knobs:
 //   ST_BENCH_GED_CORPUS            corpus size for the assignment phase
 //                                  (default 10000)
 //   ST_BENCH_GED_CENTERS           number of centers (default 32)
 //   ST_BENCH_GATE                  1 enforces the CI gates, exit 1 on miss
-//   ST_GATE_GED_SPEEDUP_PCT        min adaptive-over-pinned speedup on the
-//                                  assignment phase, %% (default 200)
+//   ST_GATE_GED_SPEEDUP_PCT        min screened-over-unscreened speedup on
+//                                  the assignment phase, %% (default 200)
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -27,7 +27,6 @@
 #include "bench_common.h"
 #include "common/rng.h"
 #include "graph/ged_cache.h"
-#include "graph/ged_policy.h"
 #include "workloads/random_dag.h"
 
 using namespace streamtune;
@@ -43,11 +42,10 @@ double NowMs() {
 struct GedPhase {
   long long corpus = 0;
   int centers = 0;
-  double pinned_ms = 0;
-  double adaptive_ms = 0;
+  double unscreened_ms = 0;
+  double screened_ms = 0;
   double speedup = 0;
   bool assignments_match = true;
-  graph::GedCache::Stats adaptive_stats;
 };
 
 }  // namespace
@@ -55,7 +53,6 @@ struct GedPhase {
 int main() {
   const long long ged_corpus = bench::EnvInt("ST_BENCH_GED_CORPUS", 10000);
   const int ged_centers = bench::EnvInt("ST_BENCH_GED_CENTERS", 32);
-  unsetenv("STREAMTUNE_GED_POLICY");
 
   // The clustered pre-train regime the paper's KB is built on: workloads
   // recur, so the corpus is duplicates and small variants of a handful of
@@ -63,9 +60,9 @@ int main() {
   // assigned to the nearest center within tau (Def. 1), the threshold
   // tightening to the best distance found so far — exactly the pruning
   // structure of the kmeans assignment step. For every far pair the label
-  // set lower bound already proves ged > threshold; the pinned policy
+  // set lower bound already proves ged > threshold; the unscreened search
   // still pays Prepare + greedy + a pruned root expansion there, the
-  // adaptive policy answers from the screen.
+  // screened query answers from the bound.
   GedPhase ged;
   ged.corpus = ged_corpus;
   ged.centers = ged_centers;
@@ -122,7 +119,7 @@ int main() {
       corpus.push_back(std::move(g));
     }
 
-    auto assign_all = [&](graph::GedPolicyCounters* counters) {
+    auto assign_all = [&](bool screened) {
       std::vector<int> assignment(corpus.size(), -1);
       for (size_t i = 0; i < corpus.size(); ++i) {
         double best = tau;
@@ -130,7 +127,8 @@ int main() {
           graph::GedOptions opts;
           opts.threshold = best;
           const graph::GedResult r =
-              graph::PolicyComputeGed(corpus[i], centers[c], opts, counters);
+              screened ? graph::QueryGed(corpus[i], centers[c], opts, nullptr)
+                       : graph::ComputeGed(corpus[i], centers[c], opts);
           if (r.exact && r.distance <= best) {
             best = r.distance;
             assignment[i] = static_cast<int>(c);
@@ -140,34 +138,25 @@ int main() {
       return assignment;
     };
 
-    setenv("STREAMTUNE_GED_POLICY", "bounded", 1);
     double t0 = NowMs();
-    const std::vector<int> pinned = assign_all(nullptr);
-    ged.pinned_ms = NowMs() - t0;
+    const std::vector<int> unscreened = assign_all(false);
+    ged.unscreened_ms = NowMs() - t0;
 
-    unsetenv("STREAMTUNE_GED_POLICY");
-    graph::GedPolicyCounters counters;
     t0 = NowMs();
-    const std::vector<int> adaptive = assign_all(&counters);
-    ged.adaptive_ms = NowMs() - t0;
+    const std::vector<int> screened = assign_all(true);
+    ged.screened_ms = NowMs() - t0;
 
-    ged.assignments_match = adaptive == pinned;
+    ged.assignments_match = screened == unscreened;
     bool all_assigned = true;
-    for (int a : adaptive) all_assigned &= a >= 0;
+    for (int a : screened) all_assigned &= a >= 0;
     ged.assignments_match &= all_assigned;
-    ged.speedup = ged.adaptive_ms > 0 ? ged.pinned_ms / ged.adaptive_ms : 0;
-    ged.adaptive_stats.policy_upper = counters.upper.load();
-    ged.adaptive_stats.policy_bounded = counters.bounded.load();
-    ged.adaptive_stats.policy_exact = counters.exact.load();
-    ged.adaptive_stats.budget_exhausted = counters.budget_exhausted.load();
+    ged.speedup =
+        ged.screened_ms > 0 ? ged.unscreened_ms / ged.screened_ms : 0;
     std::printf(
-        "[ged corpus=%lld centers=%d] pinned %8.1f ms | adaptive %8.1f ms "
-        "-> %5.2fx | upper %llu bounded %llu exact %llu budget %llu%s\n",
-        ged.corpus, ged.centers, ged.pinned_ms, ged.adaptive_ms, ged.speedup,
-        static_cast<unsigned long long>(ged.adaptive_stats.policy_upper),
-        static_cast<unsigned long long>(ged.adaptive_stats.policy_bounded),
-        static_cast<unsigned long long>(ged.adaptive_stats.policy_exact),
-        static_cast<unsigned long long>(ged.adaptive_stats.budget_exhausted),
+        "[ged corpus=%lld centers=%d] unscreened %8.1f ms | screened %8.1f "
+        "ms -> %5.2fx%s\n",
+        ged.corpus, ged.centers, ged.unscreened_ms, ged.screened_ms,
+        ged.speedup,
         ged.assignments_match ? "" : "  ASSIGNMENT MISMATCH (BUG)");
   }
 
@@ -177,20 +166,14 @@ int main() {
         buf, sizeof(buf),
         "{\n  \"host\": %s,\n"
         "  \"ged_assignment\": {\"corpus\": %lld, \"centers\": %d, "
-        "\"pinned_ms\": %.1f, \"adaptive_ms\": %.1f, \"speedup\": %.3f, "
-        "\"assignments_match\": %s, \"policy_upper\": %llu, "
-        "\"policy_bounded\": %llu, \"policy_exact\": %llu, "
-        "\"budget_exhausted\": %llu},\n"
+        "\"unscreened_ms\": %.1f, \"screened_ms\": %.1f, "
+        "\"speedup\": %.3f, \"assignments_match\": %s},\n"
         "  \"headline_ged_speedup\": %.3f,\n"
         "  \"exactness\": %s\n}\n",
-        bench::HostInfoJson().c_str(), ged.corpus, ged.centers, ged.pinned_ms,
-        ged.adaptive_ms, ged.speedup,
-        ged.assignments_match ? "true" : "false",
-        static_cast<unsigned long long>(ged.adaptive_stats.policy_upper),
-        static_cast<unsigned long long>(ged.adaptive_stats.policy_bounded),
-        static_cast<unsigned long long>(ged.adaptive_stats.policy_exact),
-        static_cast<unsigned long long>(ged.adaptive_stats.budget_exhausted),
-        ged.speedup, ged.assignments_match ? "true" : "false");
+        bench::HostInfoJson().c_str(), ged.corpus, ged.centers,
+        ged.unscreened_ms, ged.screened_ms, ged.speedup,
+        ged.assignments_match ? "true" : "false", ged.speedup,
+        ged.assignments_match ? "true" : "false");
     std::ofstream f("BENCH_exec.json", std::ios::trunc);
     f << buf;
   }
@@ -202,7 +185,7 @@ int main() {
         bench::EnvInt("ST_GATE_GED_SPEEDUP_PCT", 200) / 100.0;
     int failures = 0;
     if (!ged.assignments_match) {
-      std::fprintf(stderr, "GATE: assignments differ across policies\n");
+      std::fprintf(stderr, "GATE: screened assignments differ\n");
       ++failures;
     }
     if (ged.speedup < min_ged) {

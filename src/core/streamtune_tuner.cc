@@ -5,6 +5,8 @@
 #include <cmath>
 
 #include "baselines/ds2.h"
+#include "ml/gbdt.h"
+#include "ml/svm.h"
 
 namespace streamtune::core {
 
@@ -34,10 +36,9 @@ std::unique_ptr<ml::BottleneckModel> StreamTuneTuner::MakeModel(
     int embedding_dim) const {
   switch (options_.model) {
     case FineTuneModel::kSvm:
-      return std::make_unique<ml::MonotonicSvm>(embedding_dim, options_.svm);
+      return std::make_unique<ml::MonotonicSvm>(embedding_dim);
     case FineTuneModel::kXgboost:
-      return std::make_unique<ml::MonotonicGbdt>(embedding_dim,
-                                                 options_.gbdt);
+      return std::make_unique<ml::MonotonicGbdt>(embedding_dim);
     case FineTuneModel::kNn:
       return std::make_unique<ml::NnClassifier>(embedding_dim, options_.nn);
   }

@@ -19,9 +19,7 @@
 #include "baselines/robust_loop.h"
 #include "baselines/tuner.h"
 #include "core/pretrain.h"
-#include "ml/gbdt.h"
 #include "ml/nn_classifier.h"
-#include "ml/svm.h"
 
 namespace streamtune::core {
 
@@ -44,8 +42,7 @@ struct StreamTuneOptions {
   /// An operator is considered safe at parallelism p when
   /// P(bottleneck | h, p) falls below this.
   double probability_threshold = 0.5;
-  ml::SvmConfig svm;
-  ml::GbdtConfig gbdt;
+  /// Only the NN ablation's epoch count is settable.
   ml::NnClassifierConfig nn;
   uint64_t seed = 19;
 };

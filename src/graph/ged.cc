@@ -248,9 +248,9 @@ double LabelSetLowerBound(const JobGraph& g1, const JobGraph& g2) {
   // remaining-edge counts are the full edge counts, so the bound collapses
   // to max(n1, n2) - sum_t min(h1[t], h2[t]) + |e1 - e2|. Computing it
   // directly is O(n + e) instead of Prepare's O(n^2) relation matrices —
-  // this is the screen the GED policy layer leans on, so it must stay
-  // cheap (and it returns bit-identical values to the Prepared form: all
-  // terms are small integers).
+  // this is QueryGed's screen, so it must stay cheap (and it returns
+  // bit-identical values to the Prepared form: all terms are small
+  // integers).
   std::array<int, kNumOperatorTypes> h1{}, h2{};
   const int n1 = g1.num_operators(), n2 = g2.num_operators();
   for (int i = 0; i < n1; ++i) ++h1[static_cast<int>(g1.op(i).type)];

@@ -112,8 +112,8 @@ double GreedyGedUpperBound(const JobGraph& g1, const JobGraph& g2);
 
 /// O(1) structural upper bound: the cost of the delete-everything /
 /// insert-everything edit path (n1 + e1 + n2 + e2). Loose but free — the
-/// value the upper-bound-only GED policy reports for pairs its lower-bound
-/// screen already proved dissimilar.
+/// value QueryGed reports for pairs its label-set screen already proved
+/// beyond the threshold.
 double StructuralGedUpperBound(const JobGraph& g1, const JobGraph& g2);
 
 /// The label-set lower bound on ged(g1, g2) for the full graphs (no partial

@@ -8,6 +8,22 @@ namespace streamtune::graph {
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kEps = 1e-9;
+
+// The uncached query: the label-set screen of a thresholded AStar+-LSa
+// query, else the search. lb <= ged and lb > tau prove ged > tau: exactly
+// the certificate a completed pruned search would give, for O(n + e).
+GedResult ScreenOrSearch(const JobGraph& a, const JobGraph& b,
+                         const GedOptions& options) {
+  if (options.use_lower_bound && options.threshold >= 0 &&
+      LabelSetLowerBound(a, b) > options.threshold + kEps) {
+    GedResult r;
+    r.distance = StructuralGedUpperBound(a, b);
+    r.exact = false;
+    r.termination = GedTermination::kPruned;
+    return r;
+  }
+  return ComputeGed(a, b, options);
+}
 }  // namespace
 
 GedCache::Entry::Entry() : certified_gt(-kInf), upper(kInf) {}
@@ -21,6 +37,7 @@ GedCache::Key GedCache::MakeKey(const JobGraph& a, const JobGraph& b) {
 void GedCache::Record(const Key& key, const GedResult& result,
                       const GedOptions& options) {
   std::lock_guard<std::mutex> lock(mu_);
+  if (result.termination == GedTermination::kBudget) ++budget_exhausted_;
   Entry& e = map_[key];
   if (result.exact) {
     e.has_exact = true;
@@ -30,7 +47,7 @@ void GedCache::Record(const Key& key, const GedResult& result,
   }
   // Inexact outcomes: the reported distance is always a valid upper bound
   // (the MappingCost of a concrete mapping, or the structural bound of the
-  // upper-bound-only policy), never an exact distance. Only a kPruned
+  // label-set screen), never an exact distance. Only a kPruned
   // termination proves "ged > threshold" — kBudget (ran out of expansions)
   // and kGreedy (n2 > 63 fallback) must never mint a certificate.
   e.upper = std::min(e.upper, result.distance);
@@ -70,7 +87,7 @@ GedResult GedCache::Compute(const JobGraph& a, const JobGraph& b,
     }
     ++misses_;
   }
-  GedResult result = PolicyComputeGed(a, b, options, &policy_);
+  GedResult result = ScreenOrSearch(a, b, options);
   Record(key, result, options);
   return result;
 }
@@ -83,17 +100,9 @@ GedCache::Stats GedCache::stats() const {
     s.hits_certified = hits_certified_;
     s.misses = misses_;
     s.entries = static_cast<uint64_t>(map_.size());
+    s.budget_exhausted = budget_exhausted_;
   }
   s.hits = s.hits_exact + s.hits_certified;
-  // Read budget_exhausted before the choice counters: a search's choice is
-  // counted before its termination, so sampling the result counter first
-  // keeps `budget_exhausted <= policy_exact + policy_bounded` true in every
-  // concurrent sample.
-  s.budget_exhausted =
-      policy_.budget_exhausted.load(std::memory_order_relaxed);
-  s.policy_exact = policy_.exact.load(std::memory_order_relaxed);
-  s.policy_bounded = policy_.bounded.load(std::memory_order_relaxed);
-  s.policy_upper = policy_.upper.load(std::memory_order_relaxed);
   return s;
 }
 
@@ -103,20 +112,18 @@ size_t GedCache::size() const {
 }
 
 void GedCache::Clear() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    map_.clear();
-    hits_exact_ = 0;
-    hits_certified_ = 0;
-    misses_ = 0;
-  }
-  policy_.Reset();
+  std::lock_guard<std::mutex> lock(mu_);
+  map_.clear();
+  hits_exact_ = 0;
+  hits_certified_ = 0;
+  misses_ = 0;
+  budget_exhausted_ = 0;
 }
 
 GedResult QueryGed(const JobGraph& a, const JobGraph& b,
                    const GedOptions& options, GedCache* cache) {
   return cache != nullptr ? cache->Compute(a, b, options)
-                          : PolicyComputeGed(a, b, options);
+                          : ScreenOrSearch(a, b, options);
 }
 
 }  // namespace streamtune::graph

@@ -1,4 +1,12 @@
-// Thread-safe memo table for GED computations (the offline-phase hot path).
+// The one GED query (QueryGed) and its thread-safe memo table, GedCache
+// (the offline-phase hot path).
+//
+// A thresholded AStar+-LSa query first meets the label-set screen: when
+// LabelSetLowerBound(a, b) > tau, lb <= ged proves ged > tau, so the query
+// returns StructuralGedUpperBound as a non-exact kPruned result without a
+// search: the certificate a completed pruned search would give. Every other
+// query runs ComputeGed. The screen answers most graph-to-center
+// comparisons of clustering, which are far apart.
 //
 // The GED k-means of Sec. IV-C re-asks the same pairwise distances many
 // times: every assignment iteration re-measures distances to recurring
@@ -33,11 +41,10 @@
 
 #include "common/annotations.h"
 #include "graph/ged.h"
-#include "graph/ged_policy.h"
 
 namespace streamtune::graph {
 
-/// Memo table for PolicyComputeGed.
+/// Memo table for the one GED query.
 class GedCache {
  public:
   GedCache() = default;
@@ -45,7 +52,7 @@ class GedCache {
   GedCache(const GedCache&) = delete;
   GedCache& operator=(const GedCache&) = delete;
 
-  /// Cached PolicyComputeGed. On a hit the result carries the true
+  /// Cached QueryGed. On a hit the result carries the true
   /// distance (or a certified bound, see above) with `expansions == 0` and
   /// an empty `mapping` — callers that need the edit path should use
   /// ComputeGed directly. A threshold query (`options.threshold` set) finds
@@ -54,9 +61,8 @@ class GedCache {
                     const GedOptions& options = {});
 
   /// Hit/miss counters (a hit = answered without running a search), split
-  /// by what kind of remembered answer served the hit. Hits, misses and
-  /// entries are one consistent sample; the policy counters are relaxed
-  /// atomics that a concurrent query may be mid-update on.
+  /// by what kind of remembered answer served the hit. All fields are one
+  /// consistent sample.
   struct Stats {
     /// Total hits (== hits_exact + hits_certified; kept as a field so
     /// long-standing callers keep reading `stats().hits`).
@@ -68,12 +74,6 @@ class GedCache {
     uint64_t misses = 0;
     /// Distinct graph pairs with a cached entry at sample time.
     uint64_t entries = 0;
-    /// GED policy histogram over miss-path searches routed through this
-    /// cache (AStar+-LSa mode only; direct-GED misses are not routed and
-    /// not counted). policy_* sums to at most `misses`.
-    uint64_t policy_exact = 0;
-    uint64_t policy_bounded = 0;
-    uint64_t policy_upper = 0;
     /// Miss-path searches that exhausted their expansion budget (these
     /// never mint certificates; see GedTermination::kBudget).
     uint64_t budget_exhausted = 0;
@@ -113,10 +113,11 @@ class GedCache {
     Entry();
   };
   static Key MakeKey(const JobGraph& a, const JobGraph& b);
-  // Folds a finished search result into the entry for `key`. Certificates
-  // are keyed off GedTermination::kPruned — the only outcome that proves
-  // "ged > threshold" (budget-exhausted and greedy-fallback results prove
-  // nothing beyond their upper bound).
+  // Folds a miss-path result into the entry for `key` and counts a
+  // budget-exhausted search. Certificates are keyed off
+  // GedTermination::kPruned — the only outcome that proves "ged > threshold"
+  // (budget-exhausted and greedy-fallback results prove nothing beyond their
+  // upper bound).
   void Record(const Key& key, const GedResult& result,
               const GedOptions& options);
 
@@ -125,13 +126,15 @@ class GedCache {
   uint64_t hits_exact_ STREAMTUNE_GUARDED_BY(mu_) = 0;
   uint64_t hits_certified_ STREAMTUNE_GUARDED_BY(mu_) = 0;
   uint64_t misses_ STREAMTUNE_GUARDED_BY(mu_) = 0;
-  /// Policy histogram + budget-exhaustion count for miss-path searches.
-  GedPolicyCounters policy_;
+  uint64_t budget_exhausted_ STREAMTUNE_GUARDED_BY(mu_) = 0;
 };
 
-/// The one GED query of the clustering code: served by `cache` when given,
-/// else by the uncached PolicyComputeGed. Both give the same exact
-/// distances and the same within-threshold answers.
+/// The one GED query of the clustering code: the label-set screen, then
+/// ComputeGed, served by `cache` when given. Cached and uncached queries give
+/// the same exact distances and the same within-threshold answers, and so
+/// does a bare ComputeGed: the screen only answers pairs a search would
+/// prune. A threshold query (`options.threshold` set) finds the pair within
+/// the threshold iff the result is exact and at most it.
 GedResult QueryGed(const JobGraph& a, const JobGraph& b,
                    const GedOptions& options, GedCache* cache);
 

@@ -108,16 +108,12 @@ KbServiceStats KbService::Stats() const {
     stats.snapshot_version = snapshot_->version();
     stats.repretrains = repretrains_;
   }
-  // The GED-cache counters are individually monotone atomics, sampled
-  // outside the lock.
+  // One sample of the GED cache, taken under its own mutex.
   const graph::GedCache::Stats ged = cache_.stats();
   stats.ged_hits_exact = static_cast<long long>(ged.hits_exact);
   stats.ged_hits_certified = static_cast<long long>(ged.hits_certified);
   stats.ged_misses = static_cast<long long>(ged.misses);
   stats.ged_entries = static_cast<long long>(ged.entries);
-  stats.ged_policy_exact = static_cast<long long>(ged.policy_exact);
-  stats.ged_policy_bounded = static_cast<long long>(ged.policy_bounded);
-  stats.ged_policy_upper = static_cast<long long>(ged.policy_upper);
   stats.ged_budget_exhausted = static_cast<long long>(ged.budget_exhausted);
   return stats;
 }

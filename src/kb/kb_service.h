@@ -66,20 +66,13 @@ struct KbServiceStats {
   long long repretrains = 0;
 
   /// GED-cache counters at sample time — how much GED work the shared
-  /// cache saved the admission path's center scans. Sampled from the
-  /// shared cache's atomics after the two counters above.
+  /// cache saved the admission path's center scans, and how many of its
+  /// searches ran out of expansion budget. One sample of the cache, taken
+  /// after the two counters above.
   long long ged_hits_exact = 0;
   long long ged_hits_certified = 0;
   long long ged_misses = 0;
   long long ged_entries = 0;
-
-  /// Per-pair GED policy histogram (how cache misses were routed: exact
-  /// A*, bounded AStar+-LSa, or structural upper bound only) plus how many
-  /// searches ran out of expansion budget. Same sampling discipline as the
-  /// hit/miss counters above.
-  long long ged_policy_exact = 0;
-  long long ged_policy_bounded = 0;
-  long long ged_policy_upper = 0;
   long long ged_budget_exhausted = 0;
 
   long long ged_hits() const { return ged_hits_exact + ged_hits_certified; }

@@ -9,8 +9,8 @@ namespace streamtune::ml {
 NnClassifier::NnClassifier(int embedding_dim, NnClassifierConfig config)
     : embedding_dim_(embedding_dim), config_(config) {
   assert(embedding_dim > 0);
-  Rng rng(config_.seed);
-  mlp_ = Mlp({embedding_dim_ + 1, config_.hidden_dim, config_.hidden_dim, 1},
+  Rng rng(kSeed);
+  mlp_ = Mlp({embedding_dim_ + 1, kHiddenDim, kHiddenDim, 1},
              Activation::kRelu, &rng);
 }
 
@@ -25,15 +25,15 @@ Status NnClassifier::Fit(const std::vector<LabeledSample>& data) {
       x.at(i, j) = data[i].embedding[j];
     }
     x.at(i, embedding_dim_) =
-        data[i].parallelism / config_.parallelism_scale;
+        data[i].parallelism / kParallelismScale;
     y.at(i, 0) = data[i].label == 1 ? 1.0 : 0.0;
   }
 
   // Re-initialize so every Fit is a fresh retrain on the full dataset.
-  Rng rng(config_.seed);
-  mlp_ = Mlp({embedding_dim_ + 1, config_.hidden_dim, config_.hidden_dim, 1},
+  Rng rng(kSeed);
+  mlp_ = Mlp({embedding_dim_ + 1, kHiddenDim, kHiddenDim, 1},
              Activation::kRelu, &rng);
-  Adam opt(mlp_.Params(), config_.learning_rate);
+  Adam opt(mlp_.Params(), kLearningRate);
   // One tape for the whole training run: after the first epoch records the
   // op sequence, later epochs reuse every buffer (zero allocations).
   Tape tape;
@@ -55,7 +55,7 @@ double NnClassifier::PredictProbability(const std::vector<double>& h,
   thread_local Matrix x;
   x.SetShape(1, embedding_dim_ + 1);
   for (int j = 0; j < embedding_dim_; ++j) x.at(0, j) = h[j];
-  x.at(0, embedding_dim_) = parallelism / config_.parallelism_scale;
+  x.at(0, embedding_dim_) = parallelism / kParallelismScale;
   tape.Reset();
   Tape::Ref out = mlp_.Forward(&tape, tape.Constant(&x));
   return Sigmoid(tape.value(out).at(0, 0));

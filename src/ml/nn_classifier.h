@@ -6,6 +6,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "ml/bottleneck_model.h"
@@ -13,13 +14,9 @@
 
 namespace streamtune::ml {
 
-/// Hyperparameters for NnClassifier.
+/// The one settable NnClassifier hyperparameter.
 struct NnClassifierConfig {
-  int hidden_dim = 32;
   int epochs = 200;
-  double learning_rate = 5e-3;
-  double parallelism_scale = 100.0;
-  uint64_t seed = 17;
 };
 
 /// MLP classifier on [embedding | scaled parallelism], no monotonic
@@ -33,6 +30,13 @@ class NnClassifier : public BottleneckModel {
                             int parallelism) const override;
   bool is_monotonic() const override { return false; }
   std::string name() const override { return "NN"; }
+
+  /// Width of both hidden layers.
+  static constexpr int kHiddenDim = 32;
+  static constexpr double kLearningRate = 5e-3;
+  /// The parallelism feature is the degree divided by this.
+  static constexpr double kParallelismScale = 100.0;
+  static constexpr uint64_t kSeed = 17;
 
  private:
   int embedding_dim_;

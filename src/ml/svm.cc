@@ -9,26 +9,26 @@
 
 namespace streamtune::ml {
 
-MonotonicSvm::MonotonicSvm(int embedding_dim, SvmConfig config)
-    : embedding_dim_(embedding_dim), config_(config) {
+MonotonicSvm::MonotonicSvm(int embedding_dim)
+    : embedding_dim_(embedding_dim) {
   assert(embedding_dim > 0);
-  Rng rng(config_.seed);
+  Rng rng(kSeed);
   // RFF for RBF: omega rows ~ N(0, 1/sigma^2), phase ~ U[0, 2pi).
-  omega_ = Matrix(config_.rff_dim, embedding_dim_);
+  omega_ = Matrix(kRffDim, embedding_dim_);
   for (double& v : omega_.data()) {
-    v = rng.Normal(0.0, 1.0 / config_.rbf_sigma);
+    v = rng.Normal(0.0, 1.0 / kRbfSigma);
   }
-  phase_.resize(config_.rff_dim);
+  phase_.resize(kRffDim);
   for (double& p : phase_) p = rng.Uniform(0.0, 6.283185307179586);
-  w_e_.assign(config_.rff_dim, 0.0);
+  w_e_.assign(kRffDim, 0.0);
 }
 
 std::vector<double> MonotonicSvm::FeatureMap(
     const std::vector<double>& h) const {
   assert(static_cast<int>(h.size()) == embedding_dim_);
-  std::vector<double> z(config_.rff_dim);
-  double scale = std::sqrt(2.0 / config_.rff_dim);
-  for (int i = 0; i < config_.rff_dim; ++i) {
+  std::vector<double> z(kRffDim);
+  double scale = std::sqrt(2.0 / kRffDim);
+  for (int i = 0; i < kRffDim; ++i) {
     double dot = phase_[i];
     for (int j = 0; j < embedding_dim_; ++j) dot += omega_.at(i, j) * h[j];
     z[i] = scale * std::cos(dot);
@@ -46,7 +46,7 @@ Status MonotonicSvm::Fit(const std::vector<LabeledSample>& data) {
   size_t positives = 0;
   for (size_t i = 0; i < n; ++i) {
     z[i] = FeatureMap(data[i].embedding);
-    pf[i] = data[i].parallelism / config_.parallelism_scale;
+    pf[i] = data[i].parallelism / kParallelismScale;
     y[i] = data[i].label == 1 ? 1.0 : -1.0;
     if (data[i].label == 1) ++positives;
   }
@@ -69,16 +69,16 @@ Status MonotonicSvm::Fit(const std::vector<LabeledSample>& data) {
   w_p_ = -0.5;  // start inside the feasible region
   b_ = 0.0;
 
-  const double lambda = 1.0 / (config_.c * static_cast<double>(n));
-  Rng rng(config_.seed ^ 0xabcdef);
+  const double lambda = 1.0 / (kC * static_cast<double>(n));
+  Rng rng(kSeed ^ 0xabcdef);
   std::vector<size_t> order(n);
   std::iota(order.begin(), order.end(), 0);
 
   // Adaptive epoch count: Pegasos needs a number of *steps*, not passes;
   // large datasets converge in proportionally fewer passes.
-  int epochs = config_.epochs;
+  int epochs = kEpochs;
   if (n > 500) {
-    epochs = std::max(20, static_cast<int>(config_.epochs * 500 / n));
+    epochs = std::max(20, static_cast<int>(kEpochs * 500 / n));
   }
   size_t t = 0;
   for (int epoch = 0; epoch < epochs; ++epoch) {
@@ -88,7 +88,7 @@ Status MonotonicSvm::Fit(const std::vector<LabeledSample>& data) {
       double eta = 1.0 / (lambda * static_cast<double>(t));
       eta = std::min(eta, 10.0);  // cap the early steps
       double f = b_ + w_p_ * pf[idx];
-      for (int j = 0; j < config_.rff_dim; ++j) f += w_e_[j] * z[idx][j];
+      for (int j = 0; j < kRffDim; ++j) f += w_e_[j] * z[idx][j];
 
       double cw = y[idx] > 0 ? w_pos : w_neg;
       double shrink = 1.0 - eta * lambda;
@@ -96,7 +96,7 @@ Status MonotonicSvm::Fit(const std::vector<LabeledSample>& data) {
       w_p_ *= shrink;
       if (y[idx] * f < 1.0) {
         double step = eta * cw * y[idx];
-        for (int j = 0; j < config_.rff_dim; ++j) {
+        for (int j = 0; j < kRffDim; ++j) {
           w_e_[j] += step * z[idx][j];
         }
         w_p_ += step * pf[idx];
@@ -113,14 +113,14 @@ Status MonotonicSvm::Fit(const std::vector<LabeledSample>& data) {
 double MonotonicSvm::DecisionValue(const std::vector<double>& h,
                                    int parallelism) const {
   std::vector<double> z = FeatureMap(h);
-  double f = b_ + w_p_ * (parallelism / config_.parallelism_scale);
-  for (int j = 0; j < config_.rff_dim; ++j) f += w_e_[j] * z[j];
+  double f = b_ + w_p_ * (parallelism / kParallelismScale);
+  for (int j = 0; j < kRffDim; ++j) f += w_e_[j] * z[j];
   return f;
 }
 
 double MonotonicSvm::PredictProbability(const std::vector<double>& h,
                                         int parallelism) const {
-  return Sigmoid(config_.prob_scale * DecisionValue(h, parallelism));
+  return Sigmoid(kProbScale * DecisionValue(h, parallelism));
 }
 
 }  // namespace streamtune::ml

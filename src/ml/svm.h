@@ -10,6 +10,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -18,28 +19,10 @@
 
 namespace streamtune::ml {
 
-/// Hyperparameters for MonotonicSvm.
-struct SvmConfig {
-  /// Number of random Fourier features approximating the RBF kernel.
-  int rff_dim = 96;
-  /// RBF bandwidth sigma in k(x,y) = exp(-||x-y||^2 / (2 sigma^2)).
-  /// Upstream embeddings are RMS-normalized rows (L2 norm ~ sqrt(dim)), so
-  /// typical pairwise distances are O(1); the bandwidth is matched to that.
-  double rbf_sigma = 2.0;
-  /// Inverse regularization strength (paper's C); lambda = 1 / (C * n).
-  double c = 30.0;
-  int epochs = 100;
-  /// Steepness of the sigmoid mapping margins to probabilities.
-  double prob_scale = 2.0;
-  /// Parallelism degrees are scaled by 1/parallelism_scale before training.
-  double parallelism_scale = 100.0;
-  uint64_t seed = 11;
-};
-
 /// RBF-kernel SVM with the w_p <= 0 monotonic constraint.
 class MonotonicSvm : public BottleneckModel {
  public:
-  explicit MonotonicSvm(int embedding_dim, SvmConfig config = {});
+  explicit MonotonicSvm(int embedding_dim);
 
   Status Fit(const std::vector<LabeledSample>& data) override;
   double PredictProbability(const std::vector<double>& h,
@@ -53,14 +36,28 @@ class MonotonicSvm : public BottleneckModel {
   /// The learned parallelism weight (always <= 0 after Fit).
   double parallelism_weight() const { return w_p_; }
 
+  /// Number of random Fourier features approximating the RBF kernel.
+  static constexpr int kRffDim = 96;
+  /// RBF bandwidth sigma in k(x,y) = exp(-||x-y||^2 / (2 sigma^2)).
+  /// Upstream embeddings are RMS-normalized rows (L2 norm ~ sqrt(dim)), so
+  /// typical pairwise distances are O(1); the bandwidth is matched to that.
+  static constexpr double kRbfSigma = 2.0;
+  /// Inverse regularization strength (paper's C); lambda = 1 / (C * n).
+  static constexpr double kC = 30.0;
+  static constexpr int kEpochs = 100;
+  /// Steepness of the sigmoid mapping margins to probabilities.
+  static constexpr double kProbScale = 2.0;
+  /// The parallelism feature is the degree divided by this.
+  static constexpr double kParallelismScale = 100.0;
+  static constexpr uint64_t kSeed = 11;
+
  private:
-  /// Random Fourier feature map z(h), dimension rff_dim.
+  /// Random Fourier feature map z(h), dimension kRffDim.
   std::vector<double> FeatureMap(const std::vector<double>& h) const;
 
   int embedding_dim_;
-  SvmConfig config_;
-  Matrix omega_;                  // rff_dim x embedding_dim projection
-  std::vector<double> phase_;     // rff_dim phases
+  Matrix omega_;                  // kRffDim x embedding_dim projection
+  std::vector<double> phase_;     // kRffDim phases
   std::vector<double> w_e_;       // weights on z(h)
   double w_p_ = 0.0;              // weight on parallelism (constrained <= 0)
   double b_ = 0.0;

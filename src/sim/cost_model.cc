@@ -1,6 +1,5 @@
 #include "sim/cost_model.h"
 
-#include <bit>
 #include <cassert>
 #include <cmath>
 #include <string>
@@ -100,26 +99,9 @@ PerfModel::PerfModel(const JobGraph& graph, const CostModelConfig& config) {
   }
 }
 
-PerfModel& PerfModel::operator=(const PerfModel& other) {
-  profiles_ = other.profiles_;
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  min_p_memo_.clear();
-  return *this;
-}
-
-PerfModel& PerfModel::operator=(PerfModel&& other) noexcept {
-  profiles_ = std::move(other.profiles_);
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  min_p_memo_.clear();
-  return *this;
-}
-
 void PerfModel::SetProfile(int op_id, CostProfile profile) {
   assert(op_id >= 0 && op_id < num_operators());
   profiles_[op_id] = profile;
-  // The physics changed; memoized answers are stale.
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  min_p_memo_.clear();
 }
 
 double PerfModel::ProcessingAbility(int op_id, int p) const {
@@ -132,31 +114,18 @@ double PerfModel::ProcessingAbility(int op_id, int p) const {
 
 int PerfModel::MinParallelismFor(int op_id, double rate, int p_max) const {
   if (rate <= 0) return 1;
-  const MemoKey key{op_id, std::bit_cast<uint64_t>(rate), p_max};
-  {
-    std::lock_guard<std::mutex> lock(memo_mu_);
-    auto it = min_p_memo_.find(key);
-    if (it != min_p_memo_.end()) return it->second;
-  }
   // PA is strictly increasing in p (gamma < 1), so binary search applies.
-  int answer;
-  if (ProcessingAbility(op_id, p_max) < rate) {
-    answer = p_max + 1;
-  } else {
-    int lo = 1, hi = p_max;
-    while (lo < hi) {
-      int mid = (lo + hi) / 2;
-      if (ProcessingAbility(op_id, mid) >= rate) {
-        hi = mid;
-      } else {
-        lo = mid + 1;
-      }
+  if (ProcessingAbility(op_id, p_max) < rate) return p_max + 1;
+  int lo = 1, hi = p_max;
+  while (lo < hi) {
+    int mid = (lo + hi) / 2;
+    if (ProcessingAbility(op_id, mid) >= rate) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
     }
-    answer = lo;
   }
-  std::lock_guard<std::mutex> lock(memo_mu_);
-  min_p_memo_.emplace(key, answer);
-  return answer;
+  return lo;
 }
 
 }  // namespace streamtune::sim

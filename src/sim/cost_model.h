@@ -14,13 +14,8 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <mutex>
-#include <tuple>
-#include <utility>
 #include <vector>
 
-#include "common/annotations.h"
 #include "dataflow/job_graph.h"
 #include "dataflow/operator.h"
 
@@ -55,13 +50,6 @@ class PerfModel {
   /// Builds profiles for every operator of `graph`.
   PerfModel(const JobGraph& graph, const CostModelConfig& config);
 
-  // The MinParallelismFor memo (and its mutex) is per-instance scratch
-  // state: copies and moves start with a cold cache.
-  PerfModel(const PerfModel& other) : profiles_(other.profiles_) {}
-  PerfModel& operator=(const PerfModel& other);
-  PerfModel(PerfModel&& other) noexcept : profiles_(std::move(other.profiles_)) {}
-  PerfModel& operator=(PerfModel&& other) noexcept;
-
   /// Overrides the profile of one operator (used by calibrated workloads).
   void SetProfile(int op_id, CostProfile profile);
 
@@ -76,22 +64,14 @@ class PerfModel {
   double Selectivity(int op_id) const { return profiles_.at(op_id).selectivity; }
 
   /// Smallest parallelism (up to `p_max`) whose processing ability reaches
-  /// `rate`; returns p_max + 1 if unattainable. Thread-safe: the answer is a
-  /// pure function of the profiles, memoized behind a mutex because the
-  /// oracle sweeps of the parallel pre-training pipeline re-ask the same
-  /// (op, rate, p_max) triples from many workers.
+  /// `rate`; returns p_max + 1 if unattainable.
   int MinParallelismFor(int op_id, double rate, int p_max) const;
 
   /// Derives a cost profile from static operator features alone (no jitter).
   static CostProfile BaseProfile(const OperatorSpec& spec);
 
  private:
-  /// (op_id, bit pattern of rate, p_max) — bit-exact keys, no FP tolerance.
-  using MemoKey = std::tuple<int, uint64_t, int>;
-
   std::vector<CostProfile> profiles_;
-  mutable std::mutex memo_mu_;
-  mutable std::map<MemoKey, int> min_p_memo_ STREAMTUNE_GUARDED_BY(memo_mu_);
 };
 
 }  // namespace streamtune::sim

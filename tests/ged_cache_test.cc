@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "workloads/pqp.h"
 
 namespace streamtune::graph {
@@ -14,14 +16,48 @@ JobGraph ThreeWay(int variant) {
   return workloads::BuildPqpJob(workloads::PqpTemplate::kThreeWayJoin, variant);
 }
 
-// A threshold query through the cache: the pair is within tau iff the
-// result is exact and at most tau.
+OperatorSpec Node(const char* name, OperatorType t) {
+  OperatorSpec s;
+  s.name = name;
+  s.type = t;
+  if (t == OperatorType::kSource) s.source_rate = 1;
+  return s;
+}
+
+// source -> mid^(n-2) -> sink.
+JobGraph Chain(int nodes, OperatorType mid = OperatorType::kMap) {
+  JobGraph g("chain");
+  int prev = g.AddOperator(Node("s", OperatorType::kSource));
+  for (int i = 0; i < nodes - 2; ++i) {
+    const std::string name = "m" + std::to_string(i);
+    int v = g.AddOperator(Node(name.c_str(), mid));
+    EXPECT_TRUE(g.AddEdge(prev, v).ok());
+    prev = v;
+  }
+  int k = g.AddOperator(Node("k", OperatorType::kSink));
+  EXPECT_TRUE(g.AddEdge(prev, k).ok());
+  return g;
+}
+
+// A threshold query's pair is within tau iff the result is exact and at
+// most tau.
+bool Within(const GedResult& r, double tau) {
+  return r.exact && r.distance <= tau + 1e-9;
+}
+
+// The uncached threshold query.
+GedResult ThresholdQuery(const JobGraph& a, const JobGraph& b, double tau,
+                         GedOptions opts = {}) {
+  opts.threshold = tau;
+  return QueryGed(a, b, opts, nullptr);
+}
+
+// A threshold query through the cache.
 bool Within(GedCache& cache, const JobGraph& a, const JobGraph& b,
             double tau) {
   GedOptions opts;
   opts.threshold = tau;
-  const GedResult r = cache.Compute(a, b, opts);
-  return r.exact && r.distance <= tau + 1e-9;
+  return Within(cache.Compute(a, b, opts), tau);
 }
 
 TEST(GedCacheTest, ExactDistanceIsCachedAndServed) {
@@ -127,6 +163,91 @@ TEST(GedCacheTest, PrunedComputeServesUpperBoundAboveTau) {
   EXPECT_EQ(cache.stats().hits, 1u);
   EXPECT_FALSE(served.exact);
   EXPECT_GT(served.distance, opts.threshold);
+}
+
+TEST(GedCacheTest, UpperBoundOnlyReportsStructuralBoundAboveThreshold) {
+  // A thresholded query whose label-set lower bound exceeds tau is answered
+  // by the screen: no search, the free structural upper bound, kPruned.
+  // Uncached and on the cache's miss path alike.
+  const JobGraph a = Chain(3);
+  const JobGraph b = Chain(9, OperatorType::kFilter);
+  GedOptions opts;
+  opts.threshold = 2.0;
+  ASSERT_GT(LabelSetLowerBound(a, b), opts.threshold);
+
+  GedCache cache;
+  for (const GedResult& r :
+       {QueryGed(a, b, opts, nullptr), QueryGed(a, b, opts, &cache)}) {
+    EXPECT_FALSE(r.exact);
+    EXPECT_EQ(r.termination, GedTermination::kPruned);
+    EXPECT_EQ(r.distance, StructuralGedUpperBound(a, b));
+    EXPECT_GT(r.distance, opts.threshold);
+    EXPECT_EQ(r.expansions, 0u);
+  }
+  EXPECT_EQ(cache.stats().misses, 1u);
+}
+
+TEST(GedCacheTest, WithinThresholdOutParamDistinguishesOutcomes) {
+  const JobGraph g = Chain(4);
+
+  // Proven similar: exact distance within tau.
+  const GedResult similar = ThresholdQuery(g, g, 1.0);
+  EXPECT_TRUE(Within(similar, 1.0));
+  EXPECT_TRUE(similar.exact);
+  EXPECT_EQ(similar.termination, GedTermination::kExact);
+  EXPECT_EQ(similar.distance, 0.0);
+
+  // Proven dissimilar on the lower-bound screen: synthetic kPruned result
+  // carrying the free structural upper bound.
+  const JobGraph far = Chain(9, OperatorType::kFilter);
+  const GedResult pruned = ThresholdQuery(g, far, 1.0);
+  EXPECT_FALSE(Within(pruned, 1.0));
+  EXPECT_FALSE(pruned.exact);
+  EXPECT_EQ(pruned.termination, GedTermination::kPruned);
+  EXPECT_EQ(pruned.distance, StructuralGedUpperBound(g, far));
+}
+
+TEST(GedCacheTest, BudgetExhaustionIsUnknownNotDissimilar) {
+  // Two mid-sized graphs the screen cannot separate, with a budget far too
+  // small to finish: the boolean stays conservative (false) but the
+  // termination says "unknown", not "proven > tau".
+  const JobGraph a = Chain(8);
+  const JobGraph b = Chain(8, OperatorType::kFilter);
+  GedOptions opts;
+  opts.expansion_budget = 1;
+  const double tau = LabelSetLowerBound(a, b) + 5.0;
+
+  const GedResult r = ThresholdQuery(a, b, tau, opts);
+  EXPECT_FALSE(Within(r, tau));
+  EXPECT_FALSE(r.exact);
+  EXPECT_EQ(r.termination, GedTermination::kBudget);
+}
+
+TEST(GedCacheTest, CacheNeverCertifiesBudgetExhaustedSearches) {
+  // A budget-starved miss must not mint a "ged > tau" certificate: a later
+  // query with a real budget has to search again and find the true answer.
+  const JobGraph a = Chain(6);
+  const JobGraph b = Chain(6, OperatorType::kFilter);
+  GedOptions starved;
+  starved.expansion_budget = 1;
+  const double tau = LabelSetLowerBound(a, b) + 3.0;
+  starved.threshold = tau;
+  GedOptions budgeted;
+  budgeted.threshold = tau;
+
+  GedCache cache;
+  EXPECT_FALSE(Within(cache.Compute(a, b, starved), tau));
+  // The exact search must be a fresh miss (no certified-hit short-circuit).
+  const GedResult truth = ComputeGed(a, b);
+  ASSERT_TRUE(truth.exact);
+  const bool within = truth.distance <= tau + 1e-9;
+  EXPECT_EQ(Within(cache.Compute(a, b, budgeted), tau), within);
+  const GedCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits_certified, 0u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.budget_exhausted, 1u);
+  cache.Clear();
+  EXPECT_EQ(cache.stats().budget_exhausted, 0u);
 }
 
 TEST(GedCacheTest, WithinThresholdTrueStoresExactDistance) {

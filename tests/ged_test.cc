@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "common/rng.h"
 #include "graph/ged.h"
-#include "graph/ged_policy.h"
+#include "graph/ged_cache.h"
+#include "workloads/nexmark.h"
+#include "workloads/pqp.h"
 #include "workloads/random_dag.h"
 
 namespace streamtune::graph {
@@ -174,12 +179,83 @@ TEST(GedTest, ThresholdSearchAgreesWithExact) {
       for (double tau : {2.0, 5.0, 8.0}) {
         GedOptions opts;
         opts.threshold = tau;
-        const GedResult r = PolicyComputeGed(dags[i], dags[j], opts);
+        const GedResult r = QueryGed(dags[i], dags[j], opts, nullptr);
         EXPECT_EQ(r.exact && r.distance <= tau + 1e-9,
                   exact.distance <= tau + 1e-9)
             << "tau=" << tau << " d=" << exact.distance;
       }
     }
+  }
+}
+
+// The 33 Flink jobs the bench corpus is collected from: the five Nexmark
+// queries, 6 Linear, 10 2-way-join and 12 3-way-join PQP jobs.
+std::vector<JobGraph> FlinkCorpusJobs() {
+  std::vector<JobGraph> jobs;
+  for (auto q : workloads::AllNexmarkQueries()) {
+    jobs.push_back(workloads::BuildNexmarkJob(q, workloads::Engine::kFlink));
+  }
+  const std::pair<workloads::PqpTemplate, int> templates[] = {
+      {workloads::PqpTemplate::kLinear, 6},
+      {workloads::PqpTemplate::kTwoWayJoin, 10},
+      {workloads::PqpTemplate::kThreeWayJoin, 12}};
+  for (const auto& [t, count] : templates) {
+    for (int i = 0; i < count; ++i) {
+      jobs.push_back(workloads::BuildPqpJob(t, i));
+    }
+  }
+  return jobs;
+}
+
+// The label-set screen on production-shaped graphs: on every corpus pair,
+// the screened threshold query answers as the exact search does, and the
+// screen both fires and lets pairs through at each tau. Pairs of jobs with
+// at most five operators also get plain A*'s (h = 0) distance; plain A*
+// runs on no larger job, where it can exhaust its expansion budget.
+TEST(GedTest, ScreenedQueryAgreesWithExactOnFlinkCorpus) {
+  const std::vector<JobGraph> jobs = FlinkCorpusJobs();
+  ASSERT_EQ(jobs.size(), 33u);
+  GedOptions plain;
+  plain.use_lower_bound = false;
+  std::vector<double> distance;  // row-major over the pairs i < j
+  int small_pairs = 0;
+  for (size_t i = 0; i < jobs.size(); ++i) {
+    for (size_t j = i + 1; j < jobs.size(); ++j) {
+      const GedResult exact = ComputeGed(jobs[i], jobs[j]);
+      ASSERT_TRUE(exact.exact) << jobs[i].name() << " / " << jobs[j].name();
+      distance.push_back(exact.distance);
+      if (jobs[i].num_operators() <= 5 && jobs[j].num_operators() <= 5) {
+        ++small_pairs;
+        const GedResult astar = ComputeGed(jobs[i], jobs[j], plain);
+        ASSERT_TRUE(astar.exact);
+        EXPECT_EQ(exact.distance, astar.distance)
+            << jobs[i].name() << " / " << jobs[j].name();
+      }
+    }
+  }
+  EXPECT_GT(small_pairs, 0);
+
+  for (double tau : {2.0, 5.0, 8.0}) {
+    int screened = 0, searched = 0;
+    size_t pair = 0;
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      for (size_t j = i + 1; j < jobs.size(); ++j) {
+        const double d = distance[pair++];
+        GedOptions opts;
+        opts.threshold = tau;
+        const GedResult r = QueryGed(jobs[i], jobs[j], opts, nullptr);
+        EXPECT_EQ(r.exact && r.distance <= tau + 1e-9, d <= tau + 1e-9)
+            << jobs[i].name() << " / " << jobs[j].name() << " tau=" << tau
+            << " d=" << d;
+        if (LabelSetLowerBound(jobs[i], jobs[j]) > tau + 1e-9) {
+          ++screened;
+        } else {
+          ++searched;
+        }
+      }
+    }
+    EXPECT_GT(screened, 0) << "tau=" << tau;
+    EXPECT_GT(searched, 0) << "tau=" << tau;
   }
 }
 

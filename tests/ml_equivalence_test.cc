@@ -112,7 +112,6 @@ TEST(MlEquivalenceTest, AgnosticEmbeddingsMatchDirectTapeForward) {
 TEST(MlEquivalenceTest, NnClassifierFitMatchesTapeLoop) {
   const int dim = 6;
   ml::NnClassifierConfig cfg;
-  cfg.hidden_dim = 10;
   cfg.epochs = 30;
   std::vector<ml::LabeledSample> data;
   Rng rng(3);
@@ -128,18 +127,20 @@ TEST(MlEquivalenceTest, NnClassifierFitMatchesTapeLoop) {
 
   // Reference: the Fit loop, replicated verbatim on a local tape.
   const int n = static_cast<int>(data.size());
+  constexpr double kScale = ml::NnClassifier::kParallelismScale;
   ml::Matrix x(n, dim + 1);
   ml::Matrix y(n, 1);
   ml::Matrix mask(n, 1, 1.0);
   for (int i = 0; i < n; ++i) {
     for (int j = 0; j < dim; ++j) x.at(i, j) = data[i].embedding[j];
-    x.at(i, dim) = data[i].parallelism / cfg.parallelism_scale;
+    x.at(i, dim) = data[i].parallelism / kScale;
     y.at(i, 0) = data[i].label == 1 ? 1.0 : 0.0;
   }
-  Rng init(cfg.seed);
-  ml::Mlp mlp({dim + 1, cfg.hidden_dim, cfg.hidden_dim, 1},
+  Rng init(ml::NnClassifier::kSeed);
+  ml::Mlp mlp({dim + 1, ml::NnClassifier::kHiddenDim,
+               ml::NnClassifier::kHiddenDim, 1},
               ml::Activation::kRelu, &init);
-  ml::Adam opt(mlp.Params(), cfg.learning_rate);
+  ml::Adam opt(mlp.Params(), ml::NnClassifier::kLearningRate);
   ml::Tape tape;
   for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
     tape.Reset();
@@ -152,7 +153,7 @@ TEST(MlEquivalenceTest, NnClassifierFitMatchesTapeLoop) {
   for (const ml::LabeledSample& s : data) {
     ml::Matrix probe(1, dim + 1);
     for (int j = 0; j < dim; ++j) probe.at(0, j) = s.embedding[j];
-    probe.at(0, dim) = s.parallelism / cfg.parallelism_scale;
+    probe.at(0, dim) = s.parallelism / kScale;
     tape.Reset();
     ml::Tape::Ref out = mlp.Forward(&tape, tape.Constant(&probe));
     double expected = Sigmoid(tape.value(out).at(0, 0));

@@ -99,8 +99,7 @@ TEST(SvmTest, DecisionValueConsistentWithProbability) {
 }
 
 TEST(SvmTest, RffDeterministicPerSeed) {
-  SvmConfig cfg;
-  MonotonicSvm a(4, cfg), b(4, cfg);
+  MonotonicSvm a(4), b(4);
   Rng rng(5);
   auto data = ThresholdDataset(100, &rng);
   ASSERT_TRUE(a.Fit(data).ok());
