@@ -32,21 +32,22 @@
 // boundary, then continues over the nonzero rows; a column with a negative
 // entry lists every row and has an empty zero run.
 //
-// The search is split by feature column (XGBoost's column blocks again).
-// Fit deals the columns into T shards, balanced by list length, and grows
-// the trees level by level on T threads, one shard each. A thread owns its
-// shard's sorted lists, zero mask and per-node ranges, and keeps private
-// copies of the row ids, margins and gradients, recomputing every node's
-// totals itself in row-id order. At each level it scans its features for
-// every node that may split and writes one best candidate per (node,
-// feature); after the level's one barrier, every thread reduces those
-// candidates in feature order with a strict >, which keeps the serial
-// scan's first-best tie break, so all threads take the same splits and then
-// partition their own lists. The scan of each feature is the serial one,
-// so the trees are the same for every T. T is derived, never set: the CPUs
-// in the process's affinity mask, at most 4 and at most the column count;
-// 1 below 256 rows, inside a ThreadPool task, or when a thread cannot be
-// started.
+// The search is split by column block (XGBoost's column blocks again) and
+// runs on T threads that share one fit state. The sparse columns go in
+// blocks of eight, which share one zero-pass sweep; each other column is a
+// block of its own. Each block has a home thread, dealt by cost. The trees
+// grow level by level as phases of independent items: a level's items are
+// (split parent, block) pairs, each of which stably partitions the block's
+// lists by the parent's split and scans them at each child that may split,
+// writing one best candidate per (child, feature). A thread claims its home
+// items first, then steals any other thread's, so no level waits for a
+// thread that has claimed nothing. Between phases the calling thread alone
+// reduces each node's candidates in feature order with a strict >, which
+// keeps the serial scan's first-best tie break, routes the rows, partitions
+// the row ids and sums the children's totals in row-id order. The scan of
+// each feature is the serial one, so the trees are the same for every T and
+// every claim order. T is derived, never set: the CPUs in the process's
+// affinity mask, at most 4; 1 below 256 rows or inside a ThreadPool task.
 
 #pragma once
 
@@ -106,13 +107,13 @@ class MonotonicGbdt : public BottleneckModel {
     std::vector<TreeNode> nodes;
     double Predict(const std::vector<double>& x) const;
   };
-  struct Shard;     // one fit thread's columns and private state
-  struct FitState;  // one Fit's feature block, shards and candidate slots
+  struct FitState;  // one Fit's lists, blocks, queues and helper threads
 
   std::vector<double> MakeFeatures(const std::vector<double>& h,
                                    int parallelism) const;
-  // Grows every tree on shard `shard` of `s`; shard 0 writes the nodes.
-  void GrowTrees(FitState* s, int shard) const;
+  // Grows every tree of trees_ over the presorted `s`: the serial step of
+  // each level here, the phases of items on all of s's threads.
+  void GrowTrees(FitState* s);
 
   int embedding_dim_;
   GbdtConfig config_;

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -482,21 +483,25 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Fit threads.
 //
-// A top-level Fit of at least 256 rows shards its columns over the CPUs in
-// the process's affinity mask (at most 4, at most one per column); a Fit
-// inside a ThreadPool task runs on its calling thread alone. Both must grow
-// the same trees as each other and as the per-node-sort reference.
+// A top-level Fit of at least 256 rows runs on as many threads as the
+// process's affinity mask has CPUs (at most 4), whatever its column count,
+// and they claim its items in whatever order they get to them; a Fit inside
+// a ThreadPool task runs on its calling thread alone. All must grow the same
+// trees as each other and as the per-node-sort reference.
 
-// The fit threads the rule above gives on this host.
-int ExpectedFitThreads(int rows, int features) {
-  if (rows < 256) return 1;
+int CpusInAffinityMask() {
   int cpus = static_cast<int>(std::thread::hardware_concurrency());
 #ifdef __linux__
   cpu_set_t set;
   CPU_ZERO(&set);
   if (sched_getaffinity(0, sizeof(set), &set) == 0) cpus = CPU_COUNT(&set);
 #endif
-  return std::clamp(std::min(cpus, features), 1, 4);
+  return cpus;
+}
+
+// The fit threads the rule above gives on this host.
+int ExpectedFitThreads(int rows) {
+  return rows < 256 ? 1 : std::clamp(CpusInAffinityMask(), 1, 4);
 }
 
 // Runs fn inside a task of a two-thread pool.
@@ -515,7 +520,7 @@ TEST_P(GbdtThreadedTest, TopLevelAndPoolTaskFitsMatchReferenceBitForBit) {
   const std::vector<LabeledSample> data = FoldShapedRows(c, &rng);
   MonotonicGbdt top(c.dim, c.config);
   ASSERT_TRUE(top.Fit(data).ok());
-  EXPECT_EQ(top.fit_threads(), ExpectedFitThreads(c.rows, c.dim + 1));
+  EXPECT_EQ(top.fit_threads(), ExpectedFitThreads(c.rows));
   MonotonicGbdt task(c.dim, c.config);
   bool task_fitted = false;
   InPoolTask([&] { task_fitted = task.Fit(data).ok(); });
@@ -545,7 +550,7 @@ INSTANTIATE_TEST_SUITE_P(
         // M_f's shape: 38 embedding columns of ReLU outputs and p.
         FitCase{"production_relu_n1000", 1000, 38, 40, false,
                 Labels::kThreshold, Config(true, 4, 2), Shape::kRelu},
-        // Two columns: fewer than the fit may have threads.
+        // Two columns: fewer blocks than the fit may have threads.
         FitCase{"dim1_n600", 600, 1, 5, false, Labels::kThreshold,
                 Config(true, 4, 2)},
         // Every root is a leaf: no level is scanned.
@@ -574,7 +579,7 @@ TEST(GbdtThreadedTest, ThreadCountFollowsRowsColumnsAndPool) {
     const std::vector<LabeledSample> data = FoldShapedRows(c, &rng);
     MonotonicGbdt top(dim, c.config);
     ASSERT_TRUE(top.Fit(data).ok());
-    EXPECT_EQ(top.fit_threads(), ExpectedFitThreads(rows, dim + 1))
+    EXPECT_EQ(top.fit_threads(), ExpectedFitThreads(rows))
         << rows << " rows, " << dim + 1 << " columns";
     // Inside a pool task the fit starts no thread of its own.
     MonotonicGbdt task(dim, c.config);
@@ -583,10 +588,49 @@ TEST(GbdtThreadedTest, ThreadCountFollowsRowsColumnsAndPool) {
   }
 }
 
+// M_f's shape, fitted at top level while a spinning thread keeps every CPU
+// of the affinity mask busy (at most 8): the fit threads share the CPUs with
+// the spinners, so any of them may be descheduled in the middle of a phase,
+// holding an item or not, and the others claim what it has not.
+TEST(GbdtThreadedTest, FitBesideBusyCpusMatchesReferenceBitForBit) {
+  const FitCase c{"busy", 1000, 38, 40, false, Labels::kThreshold,
+                  Config(true, 4, 2), Shape::kRelu};
+  Rng rng(3000);
+  const std::vector<LabeledSample> data = FoldShapedRows(c, &rng);
+  MonotonicGbdt top(c.dim, c.config);
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> spinners;
+  for (int i = 0; i < std::min(CpusInAffinityMask(), 8); ++i) {
+    spinners.emplace_back([&stop] {
+      while (!stop.load(std::memory_order_relaxed)) {
+      }
+    });
+  }
+  const bool fitted = top.Fit(data).ok();
+  stop = true;
+  for (std::thread& spinner : spinners) spinner.join();
+  ASSERT_TRUE(fitted);
+  EXPECT_EQ(top.fit_threads(), ExpectedFitThreads(c.rows));
+
+  ReferenceGbdt reference(c.dim, c.config);
+  reference.Fit(data);
+  auto expect_same = [&](const std::vector<double>& h, int p) {
+    EXPECT_EQ(std::bit_cast<uint64_t>(top.PredictLogit(h, p)),
+              std::bit_cast<uint64_t>(reference.PredictLogit(h, p)))
+        << "p=" << p;
+  };
+  for (const LabeledSample& s : data) expect_same(s.embedding, s.parallelism);
+  for (int probe = 0; probe < 200; ++probe) {
+    std::vector<double> h;
+    for (int d = 0; d < c.dim; ++d) h.push_back(rng.Uniform(-0.1, 1.1));
+    expect_same(h, rng.UniformInt(1, 200));
+  }
+}
+
 // Four pool tasks fit one model each on the same data. A fit inside a pool
 // task runs on its own thread alone, so these are serial fits side by side,
 // sharing nothing; they must reproduce the logits of the same data fitted
-// at top level, which is sharded over the fit threads (600 rows).
+// at top level, which runs on the fit threads (600 rows).
 TEST(GbdtTest, ConcurrentFitsMatchSerial) {
   const FitCase c{"concurrent", 600, 8, 3, false, Labels::kThreshold,
                   Config(true, 4, 2)};
@@ -594,7 +638,7 @@ TEST(GbdtTest, ConcurrentFitsMatchSerial) {
   const std::vector<LabeledSample> data = FoldShapedRows(c, &rng);
   MonotonicGbdt threaded(c.dim, c.config);
   ASSERT_TRUE(threaded.Fit(data).ok());
-  EXPECT_EQ(threaded.fit_threads(), ExpectedFitThreads(c.rows, c.dim + 1));
+  EXPECT_EQ(threaded.fit_threads(), ExpectedFitThreads(c.rows));
 
   constexpr int kThreads = 4;
   std::vector<MonotonicGbdt> models(kThreads, MonotonicGbdt(c.dim, c.config));
