@@ -4,8 +4,6 @@
 #include <sstream>
 #include <thread>
 
-#include "ml/cpu_features.h"
-#include "ml/matrix.h"
 #include "workloads/random_dag.h"
 
 namespace streamtune::bench {
@@ -17,13 +15,9 @@ int EnvInt(const char* name, int fallback) {
 }
 
 std::string HostInfoJson() {
-  const ml::CpuFeatures f = ml::HostCpuFeatures();
   std::ostringstream os;
-  os << "{\"avx2\": " << (f.avx2 ? "true" : "false")
-     << ", \"fma\": " << (f.fma ? "true" : "false")
-     << ", \"kernel_dispatch\": \"" << ml::ActiveKernelDispatch() << "\""
-     << ", \"hardware_concurrency\": "
-     << std::thread::hardware_concurrency() << "}";
+  os << "{\"hardware_concurrency\": " << std::thread::hardware_concurrency()
+     << "}";
   return os.str();
 }
 

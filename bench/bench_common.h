@@ -37,11 +37,9 @@ namespace streamtune::bench {
 /// Reads an integer environment knob with a default.
 int EnvInt(const char* name, int fallback);
 
-/// Host provenance for BENCH_*.json files: CPU features, the kernel
-/// dispatch the process resolved at startup, and the thread count. A JSON
-/// object, e.g. {"avx2": true, "fma": true, "kernel_dispatch": "avx2-fma",
-/// "hardware_concurrency": 8} — perf numbers are only comparable across
-/// runs with matching host objects.
+/// Host provenance for BENCH_*.json files: the thread count, as a JSON
+/// object, e.g. {"hardware_concurrency": 8} — perf numbers are only
+/// comparable across runs with matching host objects.
 std::string HostInfoJson();
 
 /// Number of rate changes driven per query in schedule experiments.

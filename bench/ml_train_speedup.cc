@@ -6,7 +6,7 @@
 // benchmark keeps measuring the same reference path after the shim's
 // removal. The candidate is the current decision path: the tape engine
 // (arena-allocated records, reused buffers, transpose-free backward) on top
-// of the dispatched kernels (AVX2+FMA where the host supports it).
+// of the kernel layer in ml/matrix.h.
 //
 // Three measurements, all over the real training/inference paths:
 //
@@ -16,8 +16,7 @@
 //      sample per epoch; the tape step uses hoisted per-sample inputs, a
 //      cached GraphContext, and one persistent tape. The engine-independent
 //      Adam update is excluded from both sides. Losses are checked
-//      bit-identical under the scalar dispatch and to 1e-9 relative under
-//      SIMD (FMA reassociates the matmul reductions).
+//      bit-identical.
 //   2. Full Pretrainer::Run wall time at 1/4/8 worker threads; serialized
 //      bundles must be byte-identical across every thread count.
 //   3. Single-graph inference latency: parallelism-agnostic embeddings of
@@ -38,7 +37,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <sstream>
@@ -63,8 +61,8 @@ using namespace streamtune;
 // The frozen baseline: the old Var autograd engine, verbatim. Only the ops
 // on the benched paths (GNN forward, MLP head, masked BCE, backward) are
 // kept. Everything allocates exactly like the original did, and every
-// Matrix call is an allocating method — the scalar reference path, outside
-// the kernel dispatch.
+// Matrix call is an allocating method — the reference path, outside the
+// kernel layer.
 
 namespace legacy {
 
@@ -356,16 +354,6 @@ double NowMs() {
 int Hidden() { return EnvInt("ST_BENCH_HIDDEN", 32); }
 int Reps() { return EnvInt("ST_BENCH_REPS", 7); }
 
-// Under the scalar dispatch baseline and tape follow identical arithmetic:
-// exact equality. Under SIMD the matmul reductions reassociate: 1e-9
-// relative over a 3-layer GNN.
-bool NumericsMatch(double got, double want) {
-  if (std::strcmp(ml::ActiveKernelDispatch(), "scalar") == 0) {
-    return got == want;
-  }
-  return std::fabs(got - want) <= 1e-9 * std::max(1.0, std::fabs(want));
-}
-
 core::PretrainOptions BenchOptions(int epochs, int threads) {
   core::PretrainOptions opts;
   opts.k = 2;
@@ -430,8 +418,8 @@ struct EpochBench {
 
 // Epoch throughput: the per-sample forward + backward step exactly as the
 // two training loops perform it, minus opt.Step() (Adam is engine-
-// independent). Both sides run against the same frozen weights, so
-// per-sample losses must match under NumericsMatch.
+// independent). Both sides run against the same frozen weights and follow
+// identical arithmetic, so per-sample losses must match bit for bit.
 EpochBench RunEpochBench(const std::vector<core::HistoryRecord>& corpus,
                          int iters) {
   EpochBench out;
@@ -511,7 +499,7 @@ EpochBench RunEpochBench(const std::vector<core::HistoryRecord>& corpus,
     const double var_ms = NowMs() - t0;
     if (rep == 0 || var_ms < out.var_ms) out.var_ms = var_ms;
 
-    // Tape epoch: hoisted inputs + one persistent tape + dispatched kernels.
+    // Tape epoch: hoisted inputs + one persistent tape + the kernel layer.
     size_t li = 0;
     double t1 = NowMs();
     for (int it = 0; it < iters; ++it) {
@@ -525,7 +513,7 @@ EpochBench RunEpochBench(const std::vector<core::HistoryRecord>& corpus,
             tape.BceWithLogitsMasked(logits, &ps.targets, &ps.mask);
         tape.Backward(loss);
         if (rep == 0 && it == 0 &&
-            !NumericsMatch(tape.value(loss).at(0, 0), baseline_losses[li++])) {
+            tape.value(loss).at(0, 0) != baseline_losses[li++]) {
           out.numerics_ok = false;
         }
       }
@@ -552,9 +540,8 @@ int main() {
   core::HistoryOptions hopts;
   hopts.samples_per_job = samples;
   std::vector<core::HistoryRecord> corpus = core::CollectHistory(jobs, hopts);
-  std::printf("corpus: %zu records over %zu jobs (hidden=%d, dispatch=%s)\n",
-              corpus.size(), jobs.size(), Hidden(),
-              ml::ActiveKernelDispatch());
+  std::printf("corpus: %zu records over %zu jobs (hidden=%d)\n",
+              corpus.size(), jobs.size(), Hidden());
 
   bool numerics_ok = true;
 
@@ -626,16 +613,7 @@ int main() {
     if (rep == 0 || tape_us < tape_infer_us) tape_infer_us = tape_us;
   }
 
-  bool infer_ok = var_emb.same_shape(tape_emb);
-  if (infer_ok) {
-    for (size_t i = 0; i < var_emb.size(); ++i) {
-      if (!NumericsMatch(tape_emb.data()[i], var_emb.data()[i])) {
-        infer_ok = false;
-        break;
-      }
-    }
-  }
-  if (!infer_ok) {
+  if (!var_emb.same_shape(tape_emb) || var_emb.data() != tape_emb.data()) {
     numerics_ok = false;
     std::fprintf(stderr, "INFERENCE NUMERICS MISMATCH\n");
   }

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ml/cpu_features.h"
-#include "ml/matrix_simd.h"
-
 namespace streamtune::ml {
 
 Matrix Matrix::FromRows(const std::vector<std::vector<double>>& rows) {
@@ -150,9 +147,8 @@ double Matrix::MaxAbs() const {
 //
 // Inner loops run on raw spans; shape validation stays on the (debug-only,
 // or sanitizer-forced) checked accessors at the kernel boundary. The public
-// wrappers validate shapes and pre-shape `out`, then call through the
-// dispatch table; the raw-pointer cores below are the scalar table entries
-// (AVX2 counterparts live in matrix_simd.cc).
+// wrappers validate shapes and pre-shape `out`, then run the raw-pointer
+// loops: the three matmul cores below, or an inline loop.
 
 namespace {
 
@@ -183,8 +179,8 @@ thread_local std::vector<int> tls_nonzero_k;
 // ReLU-sparse `a` (~half zeros in this model) costs no mispredicts — and the
 // column blocks then iterate the compact list branch-free. Same terms, same
 // ascending-k order per element, so still bit-identical.
-void MatMulCoreScalar(const double* __restrict ad, const double* __restrict bd,
-                      double* __restrict od, int m, int kk, int n) {
+void MatMulCore(const double* __restrict ad, const double* __restrict bd,
+                double* __restrict od, int m, int kk, int n) {
   std::vector<int>& nz = tls_nonzero_k;
   if (static_cast<int>(nz.size()) < kk) nz.resize(kk);
   int* __restrict nzp = nz.data();
@@ -238,9 +234,8 @@ void MatMulCoreScalar(const double* __restrict ad, const double* __restrict bd,
 // block of kDotBlock output columns shares one pass over a's row (and its
 // compacted nonzero-k list); the block's independent accumulator chains
 // hide the FP add latency a single serial chain would expose.
-void MatMulNTCoreScalar(const double* __restrict ad,
-                        const double* __restrict bd, double* __restrict od,
-                        int m, int kk, int n) {
+void MatMulNTCore(const double* __restrict ad, const double* __restrict bd,
+                  double* __restrict od, int m, int kk, int n) {
   constexpr int kDotBlock = 8;
   std::vector<int>& nz = tls_nonzero_k;
   if (static_cast<int>(nz.size()) < kk) nz.resize(kk);
@@ -297,11 +292,10 @@ void MatMulNTCoreScalar(const double* __restrict ad,
 // sequence (only the interleaving across elements differs, which cannot
 // change per-element results). a's column r is read with stride m — one
 // scalar load per k — while the register-tiled output block amortizes the
-// out row traffic exactly as in MatMulCoreScalar, and the zero test is
+// out row traffic exactly as in MatMulCore, and the zero test is
 // hoisted into a branchless per-column index compaction the same way.
-void MatMulTNCoreScalar(const double* __restrict ad,
-                        const double* __restrict bd, double* __restrict od,
-                        int m, int kk, int n) {
+void MatMulTNCore(const double* __restrict ad, const double* __restrict bd,
+                  double* __restrict od, int m, int kk, int n) {
   std::vector<int>& nz = tls_nonzero_k;
   if (static_cast<int>(nz.size()) < kk) nz.resize(kk);
   int* __restrict nzp = nz.data();
@@ -344,107 +338,46 @@ void MatMulTNCoreScalar(const double* __restrict ad,
   }
 }
 
-void AddCoreScalar(const double* __restrict s, double* __restrict a,
-                   size_t n) {
-  for (size_t i = 0; i < n; ++i) a[i] += s[i];
-}
-
-void AxpyCoreScalar(double alpha, const double* __restrict xs,
-                    double* __restrict a, size_t n) {
-  for (size_t i = 0; i < n; ++i) a[i] += alpha * xs[i];
-}
-
-void ReluCoreScalar(const double* __restrict av, double* __restrict ov,
-                    size_t n) {
-  for (size_t i = 0; i < n; ++i) ov[i] = std::max(0.0, av[i]);
-}
-
-// ---- Runtime dispatch ------------------------------------------------------
-//
-// The hottest kernels route through this table of raw-pointer cores.
-// Shape conventions per slot:
-//   matmul    a: m x kk, b: kk x n, out: m x n   (out = a * b)
-//   matmul_nt a: m x kk, b: n x kk, out: m x n   (out = a * b^T)
-//   matmul_tn a: kk x m, b: kk x n, out: m x n   (out = a^T * b)
-// `out` is always pre-shaped by the wrapper; elementwise slots take flat
-// spans. The table is selected exactly once before main() (constant-
-// initialized to the scalar entries so any kernel call that somehow runs
-// during static initialization of another TU is still correct, then
-// upgraded by a dynamic initializer in this TU).
-struct KernelTable {
-  void (*matmul)(const double*, const double*, double*, int, int, int);
-  void (*matmul_nt)(const double*, const double*, double*, int, int, int);
-  void (*matmul_tn)(const double*, const double*, double*, int, int, int);
-  void (*add)(const double*, double*, size_t);
-  void (*axpy)(double, const double*, double*, size_t);
-  void (*relu)(const double*, double*, size_t);
-};
-
-constexpr KernelTable kScalarTable{MatMulCoreScalar, MatMulNTCoreScalar,
-                                  MatMulTNCoreScalar, AddCoreScalar,
-                                  AxpyCoreScalar, ReluCoreScalar};
-
-constexpr KernelTable kAvx2Table{simd::MatMulCoreAvx2, simd::MatMulNTCoreAvx2,
-                                 simd::MatMulTNCoreAvx2, simd::AddCoreAvx2,
-                                 simd::AxpyCoreAvx2, simd::ReluCoreAvx2};
-
-constinit const char* g_dispatch_name = "scalar";
-constinit KernelTable g_kernels = kScalarTable;
-
-void SelectKernels() {
-  const CpuFeatures f = HostCpuFeatures();
-  if (simd::CompiledIn() && f.avx2 && f.fma && !ForceScalarRequested()) {
-    g_kernels = kAvx2Table;
-    g_dispatch_name = "avx2-fma";
-  } else {
-    g_kernels = kScalarTable;
-    g_dispatch_name = "scalar";
-  }
-}
-
-struct KernelDispatchInit {
-  KernelDispatchInit() { SelectKernels(); }
-};
-KernelDispatchInit g_kernel_dispatch_init;
-
 }  // namespace
-
-const char* ActiveKernelDispatch() { return g_dispatch_name; }
-
-void ReinitKernelDispatchForTest() { SelectKernels(); }
 
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
   assert(a.cols() == b.rows());
   assert(out != &a && out != &b);
   out->SetShapeUninit(a.rows(), b.cols());
-  g_kernels.matmul(a.data().data(), b.data().data(), out->data().data(),
-                   a.rows(), a.cols(), b.cols());
+  MatMulCore(a.data().data(), b.data().data(), out->data().data(), a.rows(),
+             a.cols(), b.cols());
 }
 
 void MatMulNTInto(const Matrix& a, const Matrix& b, Matrix* out) {
   assert(a.cols() == b.cols());
   assert(out != &a && out != &b);
   out->SetShapeUninit(a.rows(), b.rows());
-  g_kernels.matmul_nt(a.data().data(), b.data().data(), out->data().data(),
-                      a.rows(), a.cols(), b.rows());
+  MatMulNTCore(a.data().data(), b.data().data(), out->data().data(),
+               a.rows(), a.cols(), b.rows());
 }
 
 void MatMulTNInto(const Matrix& a, const Matrix& b, Matrix* out) {
   assert(a.rows() == b.rows());
   assert(out != &a && out != &b);
   out->SetShapeUninit(a.cols(), b.cols());
-  g_kernels.matmul_tn(a.data().data(), b.data().data(), out->data().data(),
-                      a.cols(), a.rows(), b.cols());
+  MatMulTNCore(a.data().data(), b.data().data(), out->data().data(),
+               a.cols(), a.rows(), b.cols());
 }
 
 void AddInto(const Matrix& src, Matrix* acc) {
   assert(acc->same_shape(src));
-  g_kernels.add(src.data().data(), acc->data().data(), src.size());
+  const double* __restrict sv = src.data().data();
+  double* __restrict av = acc->data().data();
+  const size_t n = src.size();
+  for (size_t i = 0; i < n; ++i) av[i] += sv[i];
 }
 
 void AxpyInto(double alpha, const Matrix& x, Matrix* acc) {
   assert(acc->same_shape(x));
-  g_kernels.axpy(alpha, x.data().data(), acc->data().data(), x.size());
+  const double* __restrict xv = x.data().data();
+  double* __restrict av = acc->data().data();
+  const size_t n = x.size();
+  for (size_t i = 0; i < n; ++i) av[i] += alpha * xv[i];
 }
 
 namespace {
@@ -495,7 +428,10 @@ void ScaleInto(const Matrix& a, double s, Matrix* out) {
 void ReluInto(const Matrix& a, Matrix* out) {
   assert(out != &a);
   out->SetShapeUninit(a.rows(), a.cols());
-  g_kernels.relu(a.data().data(), out->data().data(), a.size());
+  const double* __restrict av = a.data().data();
+  double* __restrict ov = out->data().data();
+  const size_t n = a.size();
+  for (size_t i = 0; i < n; ++i) ov[i] = std::max(0.0, av[i]);
 }
 
 void AddRowBroadcastInto(const Matrix& a, const Matrix& row, Matrix* out) {

@@ -11,22 +11,13 @@
 //    `MatMulNTInto`, `AddInto`, ...) used by the tape autograd engine
 //    (ml/tape.h). Kernels never allocate when the output buffer already has
 //    capacity, never materialize transposes (the NT/TN variants walk the
-//    untransposed operand), and — on the scalar path — are bit-compatible
-//    with the composed Matrix methods they replace: same term order, same
-//    zero-skip, same roundings.
+//    untransposed operand), and are bit-compatible with the composed Matrix
+//    methods they replace: same term order, same zero-skip, same roundings.
 //
-// Dispatch: the hottest kernels (the three matmuls, AddInto, AxpyInto,
-// ReluInto) route through a table selected once at startup. When the binary
-// carries AVX2+FMA code (see ml/matrix_simd.h), the host CPU supports both,
-// and STREAMTUNE_FORCE_SCALAR is not set, the table points at the vectorized
-// cores; otherwise at the scalar ones. The SIMD cores are tolerance-equal
-// (FMA contraction reassociates addition chains), so any run that must be
-// bit-reproducible against the composed Matrix methods pins the scalar path
-// via STREAMTUNE_FORCE_SCALAR. Either way a single process uses a single
-// table, so all within-process determinism guarantees (thread-count
-// independence) hold under both dispatches.
-// Matrix storage is 32-byte aligned so vector loads on row starts of
-// multiple-of-4-column matrices stay aligned.
+// One numeric path: the kernels are plain C++ for the target's baseline
+// instruction set, so a build computes the same bits on every host it runs
+// on (they still depend on the compiler and libm). Decisions follow these
+// bits, and tests/control_plane_test.cc pins them.
 //
 // Bounds checks: hot kernel loops run on raw spans; `Matrix::at` keeps its
 // bounds assertion in Debug builds and — via STREAMTUNE_BOUNDS_CHECK, which
@@ -38,7 +29,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "common/rng.h"
@@ -51,42 +41,10 @@ inline constexpr bool kBoundsChecked = true;
 inline constexpr bool kBoundsChecked = false;
 #endif
 
-/// Minimal stateless over-aligning allocator (alignment in bytes; must be a
-/// power of two and a multiple of alignof(T)). Keeps Matrix buffers on
-/// 32-byte boundaries for the AVX2 kernels.
-template <typename T, size_t Alignment>
-class AlignedAllocator {
- public:
-  using value_type = T;
-
-  AlignedAllocator() noexcept = default;
-  template <typename U>
-  AlignedAllocator(const AlignedAllocator<U, Alignment>&) noexcept {}
-
-  T* allocate(size_t n) {
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t(Alignment)));
-  }
-  void deallocate(T* p, size_t n) noexcept {
-    ::operator delete(p, n * sizeof(T), std::align_val_t(Alignment));
-  }
-
-  template <typename U>
-  struct rebind {
-    using other = AlignedAllocator<U, Alignment>;
-  };
-};
-
-template <typename T, size_t A, typename U, size_t B>
-bool operator==(const AlignedAllocator<T, A>&, const AlignedAllocator<U, B>&) {
-  return A == B;
-}
-
 /// Dense rows x cols matrix of doubles, row-major.
 class Matrix {
  public:
-  /// Backing store: a std::vector with 32-byte-aligned allocations.
-  using Buffer = std::vector<double, AlignedAllocator<double, 32>>;
+  using Buffer = std::vector<double>;
 
   Matrix() : rows_(0), cols_(0) {}
   Matrix(int rows, int cols, double fill = 0.0)
@@ -198,21 +156,10 @@ class Matrix {
 //
 // Output-buffer-reusing kernels. Every kernel shapes `out` itself (retaining
 // its capacity) and requires `out` to alias none of its inputs unless noted.
-// On the scalar dispatch each is bit-identical to the allocating composition
-// it replaces (documented per kernel): identical term values, identical
-// per-element accumulation order, identical zero-skip tests — so swapping a
-// composition for its kernel never changes a single output bit. The AVX2
-// dispatch keeps the same zero-skips but fuses multiply-adds, making the
-// dispatched kernels tolerance-equal instead (see the header comment).
-
-/// Name of the kernel table the one-time startup dispatch selected:
-/// "avx2-fma" or "scalar". Stable for the life of the process unless
-/// ReinitKernelDispatchForTest() is called.
-const char* ActiveKernelDispatch();
-
-/// Re-runs the dispatch decision, re-reading STREAMTUNE_FORCE_SCALAR.
-/// Test-only: must not race concurrent kernel calls.
-void ReinitKernelDispatchForTest();
+// Each is bit-identical to the allocating composition it replaces
+// (documented per kernel): identical term values, identical per-element
+// accumulation order, identical zero-skip tests — so swapping a composition
+// for its kernel never changes a single output bit.
 
 /// out = a * b. Bit-identical to a.MatMul(b).
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out);

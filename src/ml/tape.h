@@ -23,7 +23,7 @@
 // Bit-identity with the retired Var engine (pinned while both coexisted,
 // now the contract of this engine alone): each op's forward and backward
 // kernels perform the identical floating-point operations in the identical
-// order under the scalar kernel dispatch (see matrix.h kernel contracts),
+// order (see matrix.h kernel contracts),
 // gradient accumulation keeps first-contribution-copies semantics, and
 // reverse recording order executes the consumers of every shared node in
 // the same relative order as a reverse post-order DFS for all model graphs

@@ -4,14 +4,23 @@
 // pinned shed-fleet trajectories under a chaos storm, the chaos-storm
 // determinism contract (healthy jobs bit-identical to a chaos-free run),
 // and a 10k-job concurrent smoke that doubles as the TSan target.
+//
+// Three tests pin decisions to a hash: the shed fleet (DS2), the full-mode
+// fleet with inline admissions, and a long-lived StreamTune tuner retuning
+// two jobs (DecisionPinTest). A change that moves one of these hashes
+// changes decisions: it updates the constant and records the old and new
+// values in CHANGES.md.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "controlplane/control_plane.h"
+#include "core/streamtune_tuner.h"
 #include "sim/chaos_engine.h"
 #include "workloads/cost_config.h"
 #include "workloads/nexmark.h"
@@ -96,6 +105,28 @@ Fleet MakeFleet(int jobs, const sim::FleetFaultPlan* storm) {
   }
   return fleet;
 }
+
+// FNV-1a over the eight little-endian bytes of each folded value: the
+// pinned hashes below.
+class PinHash {
+ public:
+  void Fold(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ ^= (v >> (8 * i)) & 0xffu;
+      hash_ *= 1099511628211ull;
+    }
+  }
+  void FoldReport(const JobReport& jr) {
+    Fold(static_cast<std::uint64_t>(jr.id));
+    Fold(static_cast<std::uint64_t>(jr.state));
+    Fold(static_cast<std::uint64_t>(jr.decisions));
+    Fold(jr.trajectory_hash);
+  }
+  std::uint64_t digest() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 14695981039346656037ull;  // FNV-1a offset
+};
 
 ControlPlaneOptions FastOptions() {
   ControlPlaneOptions opts;
@@ -209,9 +240,9 @@ TEST(ControlPlaneTest, AllJobsQuarantinedStillTerminates) {
 TEST(ControlPlaneTest, AdmissionsNeverTouchATrajectory) {
   // A 12-job full-mode fleet: jobs converge in different rounds, and each
   // is admitted into the KB while the rest keep deciding. Every job must
-  // decide exactly as it does alone in its own plane on an untouched KB.
-  // Compared, not pinned: full-mode jobs run the model, whose AVX2 and
-  // forced-scalar results differ.
+  // decide exactly as it does alone in its own plane on an untouched KB,
+  // and the fleet's decisions (pre-training, GED assignment, M_f fits and
+  // the tuning loop) are pinned.
   constexpr int kJobs = 12;
   ControlPlaneOptions opts = FastOptions();
   opts.full_admission.capacity = kJobs;
@@ -232,6 +263,13 @@ TEST(ControlPlaneTest, AdmissionsNeverTouchATrajectory) {
             report->converged_full);
   EXPECT_EQ(service->Stats().snapshot_version,
             version_before + report->kb_admitted);
+
+  PinHash hash;
+  for (const JobReport& jr : report->job_reports) hash.FoldReport(jr);
+  EXPECT_EQ(report->rounds, 19);
+  EXPECT_EQ(report->decisions, 96);
+  EXPECT_EQ(report->kb_admitted, 12);
+  EXPECT_EQ(hash.digest(), 0xac08c12b17361c29ull) << std::hex << hash.digest();
 
   for (const JobReport& jr : report->job_reports) {
     auto alone_service = SmallService();
@@ -303,8 +341,7 @@ TEST(ControlPlaneTest, HealthyJobsBitIdenticalUnderChaosStorm) {
 TEST(ControlPlaneTest, ShedFleetUnderStormMatchesPinnedTrajectories) {
   // Pins every decision of a shed fleet under a 30% chaos storm: the DS2
   // session, the scheduler's rounds and the containment path. Without a KB
-  // no model or SIMD kernel runs, so the value is the same on every host
-  // and under STREAMTUNE_FORCE_SCALAR.
+  // no model runs.
   constexpr int kJobs = 48;
   sim::FleetFaultPlan storm;
   storm.master_seed = 0xF1EE7;
@@ -317,23 +354,72 @@ TEST(ControlPlaneTest, ShedFleetUnderStormMatchesPinnedTrajectories) {
   auto report = plane.Run();
   ASSERT_TRUE(report.ok()) << report.status().ToString();
 
-  std::uint64_t hash = 14695981039346656037ull;  // FNV-1a offset
-  auto fold = [&hash](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash ^= (v >> (8 * i)) & 0xffu;
-      hash *= 1099511628211ull;
-    }
-  };
-  for (const JobReport& jr : report->job_reports) {
-    fold(static_cast<std::uint64_t>(jr.id));
-    fold(static_cast<std::uint64_t>(jr.state));
-    fold(static_cast<std::uint64_t>(jr.decisions));
-    fold(jr.trajectory_hash);
-  }
+  PinHash hash;
+  for (const JobReport& jr : report->job_reports) hash.FoldReport(jr);
   EXPECT_EQ(report->shed_jobs, kJobs);
   EXPECT_EQ(report->rounds, 29);
   EXPECT_EQ(report->decisions, 243);
-  EXPECT_EQ(hash, 0x6f1a9b9f2bb0ca3eull) << std::hex << hash;
+  EXPECT_EQ(hash.digest(), 0x6f1a9b9f2bb0ca3eull) << std::hex << hash.digest();
+}
+
+TEST(DecisionPinTest, LongLivedTunerRetunesMatchPinnedHash) {
+  // One StreamTune tuner retunes two jobs through three rates, so a later
+  // process opens on the set its previous stop decision fitted and reuses
+  // that fit. Job 1 starts at the FIFO bound (a donor process's feedback,
+  // repeated), so each of its folds evicts and its processes refit. The
+  // hash covers every process's final degrees, reconfigurations,
+  // iterations and M_f fits, then the bytes of both jobs' feedback.
+  auto service = SmallService();
+  const std::shared_ptr<const core::PretrainedBundle> bundle =
+      service->Snapshot()->bundle();
+  const core::StreamTuneOptions opts = FastOptions().streamtune;
+  constexpr std::size_t kCap = core::StreamTuneTuner::kMaxAccumulatedSamples;
+  std::unique_ptr<sim::StreamEngine> engines[] = {FleetEngine(0),
+                                                  FleetEngine(1)};
+  const std::string names[] = {engines[0]->graph().name(),
+                               engines[1]->graph().name()};
+
+  core::StreamTuneTuner tuner(bundle, opts);
+  {
+    core::StreamTuneTuner donor(bundle, opts);
+    auto engine = FleetEngine(1);
+    ASSERT_TRUE(donor.Tune(engine.get()).ok());
+    const std::vector<ml::LabeledSample>& some = donor.FeedbackFor(names[1]);
+    ASSERT_FALSE(some.empty());
+    std::vector<ml::LabeledSample> full;
+    while (full.size() < kCap) {
+      full.insert(full.end(), some.begin(), some.end());
+    }
+    tuner.SeedFeedback(names[1], std::move(full));
+  }
+
+  PinHash hash;
+  int reused = 0;
+  for (double mult : {6.0, 2.5, 9.0}) {
+    for (int j = 0; j < 2; ++j) {
+      SCOPED_TRACE(testing::Message() << names[j] << " at " << mult);
+      engines[j]->ScaleAllSources(mult);
+      auto outcome = tuner.Tune(engines[j].get());
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      for (int p : outcome->final_parallelism) {
+        hash.Fold(static_cast<std::uint64_t>(p));
+      }
+      hash.Fold(static_cast<std::uint64_t>(outcome->reconfigurations));
+      hash.Fold(static_cast<std::uint64_t>(outcome->iterations));
+      hash.Fold(static_cast<std::uint64_t>(outcome->model_fits));
+      reused += outcome->iterations - outcome->model_fits;
+    }
+  }
+  for (const std::string& name : names) {
+    for (const ml::LabeledSample& s : tuner.FeedbackFor(name)) {
+      for (double x : s.embedding) hash.Fold(std::bit_cast<std::uint64_t>(x));
+      hash.Fold(static_cast<std::uint64_t>(s.parallelism));
+      hash.Fold(static_cast<std::uint64_t>(s.label));
+    }
+  }
+  EXPECT_GT(reused, 0);
+  EXPECT_EQ(tuner.FeedbackFor(names[1]).size(), kCap);
+  EXPECT_EQ(hash.digest(), 0x6c6c0a8bc5baebd9ull) << std::hex << hash.digest();
 }
 
 TEST(ControlPlaneTest, WatchdogQuarantinesAtRoundCap) {

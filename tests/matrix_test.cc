@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
+#include <utility>
 
 #include "ml/matrix.h"
 
@@ -117,91 +117,123 @@ TEST(MatrixTest, GlorotUniformWithinLimit) {
 
 // ---- Kernel layer ----------------------------------------------------------
 
-Matrix RandomMatrix(int r, int c, Rng* rng) {
+// Entries uniform in [-1, 1); with `zeros`, every fifth entry is an exact
+// zero so the matmuls' zero-skip (compacted nonzero-k) path runs, and
+// without, every row is dense and the matmuls take their dense path.
+Matrix RandomMatrix(int r, int c, Rng* rng, bool zeros = true) {
   Matrix m(r, c);
   for (double& v : m.data()) v = 2 * rng->Uniform() - 1;
-  // Sprinkle exact zeros so the kernels' zero-skip path is exercised.
-  for (int i = 0; i < r * c; i += 5) m.data()[i] = 0.0;
+  if (zeros) {
+    for (int i = 0; i < r * c; i += 5) m.data()[i] = 0.0;
+  }
   return m;
 }
 
 void ExpectBitIdentical(const Matrix& a, const Matrix& b) {
   ASSERT_TRUE(a.same_shape(b));
-  for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a.data()[i], b.data()[i]);
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.data()[i], b.data()[i]) << "entry " << i;
+  }
 }
 
-// The matmul kernels are bit-identical to their composed references on the
-// scalar dispatch; the AVX2-FMA dispatch fuses multiply-adds, so there they
-// are held to the 1e-12 relative tolerance contract instead. (The scalar
-// path's bit-identity is additionally pinned — under an explicit dispatch
-// override — in tests/matrix_simd_test.cc.)
-void ExpectMatchesReference(const Matrix& got, const Matrix& want) {
-  ASSERT_TRUE(got.same_shape(want));
-  if (std::strcmp(ActiveKernelDispatch(), "scalar") == 0) {
-    ExpectBitIdentical(got, want);
-    return;
-  }
-  for (size_t i = 0; i < got.size(); ++i) {
-    const double tol = 1e-12 * std::max(1.0, std::fabs(want.data()[i]));
-    EXPECT_NEAR(got.data()[i], want.data()[i], tol) << "entry " << i;
-  }
-}
+// m x k times k x n products checked bit for bit against the composed
+// Matrix references: output widths below, at and past the 16-wide column
+// block of MatMulInto/MatMulTNInto and the 8-wide dot block of
+// MatMulNTInto, so every block and every tail runs.
+struct MatMulShape {
+  int m, k, n;
+};
+const MatMulShape kMatMulShapes[] = {{5, 7, 4},  {1, 1, 1},   {3, 9, 4},
+                                     {5, 7, 17}, {8, 16, 32}, {2, 21, 19},
+                                     {5, 13, 17}};
 
 TEST(MatrixKernelTest, MatMulIntoMatchesMatMul) {
   Rng rng(21);
-  Matrix a = RandomMatrix(5, 7, &rng);
-  Matrix b = RandomMatrix(7, 4, &rng);
-  Matrix out;
-  MatMulInto(a, b, &out);
-  ExpectMatchesReference(out, a.MatMul(b));
+  for (const MatMulShape& s : kMatMulShapes) {
+    for (bool zeros : {true, false}) {
+      SCOPED_TRACE(testing::Message() << s.m << "x" << s.k << "x" << s.n
+                                      << (zeros ? " with zeros" : " dense"));
+      Matrix a = RandomMatrix(s.m, s.k, &rng, zeros);
+      Matrix b = RandomMatrix(s.k, s.n, &rng, zeros);
+      Matrix out;
+      MatMulInto(a, b, &out);
+      ExpectBitIdentical(out, a.MatMul(b));
+    }
+  }
 }
 
 TEST(MatrixKernelTest, MatMulNTIntoMatchesTransposedComposition) {
   Rng rng(22);
-  Matrix a = RandomMatrix(5, 7, &rng);
-  Matrix b = RandomMatrix(4, 7, &rng);  // out = a * b^T -> 5x4
-  Matrix out;
-  MatMulNTInto(a, b, &out);
-  ExpectMatchesReference(out, a.MatMul(b.Transpose()));
+  for (const MatMulShape& s : kMatMulShapes) {
+    for (bool zeros : {true, false}) {
+      SCOPED_TRACE(testing::Message() << s.m << "x" << s.k << "x" << s.n
+                                      << (zeros ? " with zeros" : " dense"));
+      Matrix a = RandomMatrix(s.m, s.k, &rng, zeros);
+      Matrix b = RandomMatrix(s.n, s.k, &rng, zeros);  // out = a * b^T
+      Matrix out;
+      MatMulNTInto(a, b, &out);
+      ExpectBitIdentical(out, a.MatMul(b.Transpose()));
+    }
+  }
 }
 
 TEST(MatrixKernelTest, MatMulTNIntoMatchesTransposedComposition) {
   Rng rng(23);
-  Matrix a = RandomMatrix(7, 5, &rng);
-  Matrix b = RandomMatrix(7, 4, &rng);  // out = a^T * b -> 5x4
-  Matrix out;
-  MatMulTNInto(a, b, &out);
-  ExpectMatchesReference(out, a.Transpose().MatMul(b));
+  for (const MatMulShape& s : kMatMulShapes) {
+    for (bool zeros : {true, false}) {
+      SCOPED_TRACE(testing::Message() << s.m << "x" << s.k << "x" << s.n
+                                      << (zeros ? " with zeros" : " dense"));
+      Matrix a = RandomMatrix(s.k, s.m, &rng, zeros);  // out = a^T * b
+      Matrix b = RandomMatrix(s.k, s.n, &rng, zeros);
+      Matrix out;
+      MatMulTNInto(a, b, &out);
+      ExpectBitIdentical(out, a.Transpose().MatMul(b));
+    }
+  }
 }
 
 TEST(MatrixKernelTest, ElementwiseKernelsBitIdentical) {
   Rng rng(24);
-  Matrix a = RandomMatrix(4, 6, &rng);
-  Matrix b = RandomMatrix(4, 6, &rng);
-  Matrix row = RandomMatrix(1, 6, &rng);
-  Matrix out;
-  AddMatInto(a, b, &out);
-  ExpectBitIdentical(out, a.Add(b));
-  SubInto(a, b, &out);
-  ExpectBitIdentical(out, a.Sub(b));
-  HadamardInto(a, b, &out);
-  ExpectBitIdentical(out, a.Hadamard(b));
-  ScaleInto(a, -1.75, &out);
-  ExpectBitIdentical(out, a.Scale(-1.75));
-  AddRowBroadcastInto(a, row, &out);
-  ExpectBitIdentical(out, a.AddRowBroadcast(row));
-  SumRowsInto(a, &out);
-  ExpectBitIdentical(out, a.SumRows());
-  SliceColsInto(a, 1, 4, &out);
-  ExpectBitIdentical(out, a.SliceCols(1, 4));
+  // 3 x 23 leaves an odd tail behind any vector width the compiler picks.
+  for (auto [rows, cols] :
+       {std::pair{4, 6}, std::pair{4, 9}, std::pair{3, 23}}) {
+    SCOPED_TRACE(testing::Message() << rows << "x" << cols);
+    Matrix a = RandomMatrix(rows, cols, &rng);
+    Matrix b = RandomMatrix(rows, cols, &rng);
+    Matrix row = RandomMatrix(1, cols, &rng);
+    Matrix out;
+    AddMatInto(a, b, &out);
+    ExpectBitIdentical(out, a.Add(b));
+    SubInto(a, b, &out);
+    ExpectBitIdentical(out, a.Sub(b));
+    HadamardInto(a, b, &out);
+    ExpectBitIdentical(out, a.Hadamard(b));
+    ScaleInto(a, -1.75, &out);
+    ExpectBitIdentical(out, a.Scale(-1.75));
+    AddRowBroadcastInto(a, row, &out);
+    ExpectBitIdentical(out, a.AddRowBroadcast(row));
+    SumRowsInto(a, &out);
+    ExpectBitIdentical(out, a.SumRows());
+    SliceColsInto(a, 1, 4, &out);
+    ExpectBitIdentical(out, a.SliceCols(1, 4));
 
-  Matrix acc = a;
-  AddInto(b, &acc);
-  ExpectBitIdentical(acc, a.Add(b));
-  acc = a;
-  AxpyInto(0.5, b, &acc);
-  for (size_t i = 0; i < acc.size(); ++i) {
-    EXPECT_EQ(acc.data()[i], a.data()[i] + 0.5 * b.data()[i]);
+    Matrix acc = a;
+    AddInto(b, &acc);
+    ExpectBitIdentical(acc, a.Add(b));
+    for (double alpha : {0.5, -1.25, 0.37}) {
+      acc = a;
+      AxpyInto(alpha, b, &acc);
+      for (size_t i = 0; i < acc.size(); ++i) {
+        EXPECT_EQ(acc.data()[i], a.data()[i] + alpha * b.data()[i])
+            << "alpha " << alpha << ", entry " << i;
+      }
+    }
+    ReluInto(a, &out);
+    ASSERT_TRUE(out.same_shape(a));
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(out.data()[i], a.data()[i] > 0.0 ? a.data()[i] : 0.0)
+          << "entry " << i;
+    }
   }
 }
 

@@ -51,7 +51,7 @@ std::string SerializedBundle(const PretrainedBundle& bundle) {
 // A full pre-training run — GED clustering, per-cluster GNN+head training,
 // every epoch and Adam step — produces byte-identical serialized weights at
 // any thread count (every per-cluster RNG stream is drawn up front, and
-// every kernel is deterministic under a fixed dispatch).
+// every kernel is deterministic).
 TEST(MlEquivalenceTest, PretrainerRunBitIdenticalAcrossThreadCounts) {
   std::vector<HistoryRecord> corpus = NexmarkCorpus();
 
