@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <utility>
+#include <vector>
 
 #include "ml/matrix.h"
 
@@ -234,6 +235,112 @@ TEST(MatrixKernelTest, ElementwiseKernelsBitIdentical) {
       EXPECT_EQ(out.data()[i], a.data()[i] > 0.0 ? a.data()[i] : 0.0)
           << "entry " << i;
     }
+  }
+}
+
+// The MatrixSimdTest suite keeps its name from when a second (AVX2) kernel
+// table existed; the kernels it checks are now the only ones every build runs.
+
+// The kernels are the bit-level reference: identical to the allocating
+// Matrix methods on any host.
+TEST(MatrixSimdTest, ForcedScalarKernelsBitIdenticalToReferences) {
+  Rng rng(31);
+  // Odd shapes so every block width's tail path runs too.
+  Matrix a = RandomMatrix(5, 13, &rng, /*zeros=*/false);
+  Matrix b = RandomMatrix(13, 17, &rng, /*zeros=*/false);
+  Matrix bt = b.Transpose();
+  Matrix at = a.Transpose();
+  Matrix out;
+  MatMulInto(a, b, &out);
+  ExpectBitIdentical(out, a.MatMul(b));
+  MatMulNTInto(a, bt, &out);
+  ExpectBitIdentical(out, a.MatMul(b));
+  MatMulTNInto(at, b, &out);
+  ExpectBitIdentical(out, a.MatMul(b));
+
+  Matrix x = RandomMatrix(4, 9, &rng, /*zeros=*/false);
+  Matrix y = RandomMatrix(4, 9, &rng, /*zeros=*/false);
+  Matrix acc = x;
+  AddInto(y, &acc);
+  ExpectBitIdentical(acc, x.Add(y));
+  acc = x;
+  AxpyInto(-1.25, y, &acc);
+  for (size_t i = 0; i < acc.size(); ++i) {
+    EXPECT_EQ(acc.data()[i], x.data()[i] + -1.25 * y.data()[i]);
+  }
+  ReluInto(x, &out);
+  ASSERT_TRUE(out.same_shape(x));
+  for (size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(out.data()[i], x.data()[i] > 0.0 ? x.data()[i] : 0.0);
+  }
+}
+
+// Textbook triple loop, written independently of the kernels and of
+// Matrix::MatMul.
+Matrix NaiveMatMul(const Matrix& a, const Matrix& b) {
+  Matrix out(a.rows(), b.cols());
+  for (int i = 0; i < a.rows(); ++i) {
+    for (int j = 0; j < b.cols(); ++j) {
+      double sum = 0.0;
+      for (int k = 0; k < a.cols(); ++k) sum += a.at(i, k) * b.at(k, j);
+      out.at(i, j) = sum;
+    }
+  }
+  return out;
+}
+
+void ExpectWithinRelTol(const Matrix& a, const Matrix& b, double tol) {
+  ASSERT_TRUE(a.same_shape(b));
+  for (size_t i = 0; i < a.size(); ++i) {
+    const double want = b.data()[i];
+    EXPECT_NEAR(a.data()[i], want, tol * std::max(1.0, std::fabs(want)))
+        << "entry " << i;
+  }
+}
+
+// The default kernels against a plain scalar reference: the matmuls may
+// sum in another order than the triple loop, so they agree within 1e-12
+// relative; the lane-wise ops are exact.
+TEST(MatrixSimdTest, DefaultDispatchMatchesScalarWithinTolerance) {
+  struct Shape {
+    int m, k, n;
+  };
+  const std::vector<Shape> shapes = {{1, 1, 1}, {3, 9, 4}, {5, 7, 17},
+                                     {8, 16, 32}, {2, 21, 19}};
+  for (const Shape& s : shapes) {
+    SCOPED_TRACE(testing::Message() << s.m << "x" << s.k << "x" << s.n);
+    Rng rng(100 + s.m + s.k + s.n);
+    Matrix a = RandomMatrix(s.m, s.k, &rng, /*zeros=*/false);
+    Matrix b = RandomMatrix(s.k, s.n, &rng, /*zeros=*/false);
+    Matrix bt = b.Transpose();
+    Matrix at = a.Transpose();
+    const Matrix ref = NaiveMatMul(a, b);
+
+    Matrix out;
+    MatMulInto(a, b, &out);
+    ExpectWithinRelTol(out, ref, 1e-12);
+    MatMulNTInto(a, bt, &out);
+    ExpectWithinRelTol(out, ref, 1e-12);
+    MatMulTNInto(at, b, &out);
+    ExpectWithinRelTol(out, ref, 1e-12);
+  }
+
+  Rng rng(77);
+  Matrix x = RandomMatrix(3, 23, &rng, /*zeros=*/false);  // odd tail
+  Matrix y = RandomMatrix(3, 23, &rng, /*zeros=*/false);
+  Matrix acc = x;
+  AddInto(y, &acc);
+  Matrix relu_out;
+  ReluInto(x, &relu_out);
+  ASSERT_TRUE(relu_out.same_shape(x));
+  Matrix axpy = x;
+  AxpyInto(0.37, y, &axpy);
+  for (size_t i = 0; i < x.size(); ++i) {
+    EXPECT_EQ(acc.data()[i], x.data()[i] + y.data()[i]) << "entry " << i;
+    EXPECT_EQ(relu_out.data()[i], x.data()[i] > 0.0 ? x.data()[i] : 0.0)
+        << "entry " << i;
+    EXPECT_EQ(axpy.data()[i], x.data()[i] + 0.37 * y.data()[i])
+        << "entry " << i;
   }
 }
 
