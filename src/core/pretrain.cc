@@ -56,6 +56,15 @@ struct PreparedSample {
 
 }  // namespace
 
+Corpus::Corpus(std::vector<HistoryRecord> records) {
+  records_.reserve(records.size());
+  for (HistoryRecord& rec : records) push_back(std::move(rec));
+}
+
+void Corpus::push_back(HistoryRecord rec) {
+  records_.push_back(std::make_shared<const HistoryRecord>(std::move(rec)));
+}
+
 int PretrainedBundle::AssignCluster(const JobGraph& g) const {
   return graph::NearestCenter(g, centers_);
 }
@@ -136,8 +145,7 @@ std::vector<ml::LabeledSample> PretrainedBundle::WarmUpDataset(
   return samples;
 }
 
-Result<PretrainedBundle> Pretrainer::Run(
-    std::vector<HistoryRecord> records) const {
+Result<PretrainedBundle> Pretrainer::Run(Corpus records) const {
   if (records.empty()) return Status::InvalidArgument("empty corpus");
   for (const HistoryRecord& rec : records) {
     ST_RETURN_NOT_OK(ValidateHistoryRecord(rec));

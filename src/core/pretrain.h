@@ -10,6 +10,9 @@
 
 #pragma once
 
+#include <cstddef>
+#include <iterator>
+#include <memory>
 #include <vector>
 
 #include "core/history.h"
@@ -49,11 +52,67 @@ struct ClusterModel {
   std::vector<int> record_indices;
 };
 
+/// A bundle's corpus: history records held as immutable objects shared by
+/// pointer. Copying a Corpus copies pointers, so the bundle versions a KB
+/// publishes share every record they have in common; a record is never
+/// mutated once it is in a Corpus, and readers on other threads may hold
+/// it, so its graph must be adjacency-warm before the Corpus is shared.
+class Corpus {
+ public:
+  /// Iterates the records as `const HistoryRecord&`.
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = HistoryRecord;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const HistoryRecord*;
+    using reference = const HistoryRecord&;
+
+    const_iterator() = default;
+    reference operator*() const { return **it_; }
+    pointer operator->() const { return it_->get(); }
+    const_iterator& operator++() {
+      ++it_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator before = *this;
+      ++it_;
+      return before;
+    }
+    bool operator==(const const_iterator&) const = default;
+
+   private:
+    friend class Corpus;
+    using Base =
+        std::vector<std::shared_ptr<const HistoryRecord>>::const_iterator;
+    explicit const_iterator(Base it) : it_(it) {}
+    Base it_;
+  };
+
+  Corpus() = default;
+  /// One shared object per record, in order. Implicit, so a vector of
+  /// records goes wherever a Corpus is taken.
+  Corpus(std::vector<HistoryRecord> records);
+
+  size_t size() const { return records_.size(); }
+  bool empty() const { return records_.empty(); }
+  const HistoryRecord& operator[](size_t i) const { return *records_[i]; }
+  const_iterator begin() const { return const_iterator(records_.begin()); }
+  const_iterator end() const { return const_iterator(records_.end()); }
+
+  /// Appends `rec` as a new shared object; the records already held stay
+  /// shared with every other Corpus that holds them.
+  void push_back(HistoryRecord rec);
+
+ private:
+  std::vector<std::shared_ptr<const HistoryRecord>> records_;
+};
+
 /// The output of pre-training: per-cluster encoders plus corpus access.
 class PretrainedBundle {
  public:
-  PretrainedBundle(std::vector<ClusterModel> clusters,
-                   std::vector<HistoryRecord> records,
+  PretrainedBundle(std::vector<ClusterModel> clusters, Corpus records,
                    FeatureEncoder encoder)
       : clusters_(std::move(clusters)),
         records_(std::move(records)),
@@ -65,7 +124,7 @@ class PretrainedBundle {
 
   int num_clusters() const { return static_cast<int>(clusters_.size()); }
   const ClusterModel& cluster(int c) const { return clusters_[c]; }
-  const std::vector<HistoryRecord>& records() const { return records_; }
+  const Corpus& records() const { return records_; }
   const FeatureEncoder& feature_encoder() const { return feature_encoder_; }
 
   /// The cluster centers in cluster order, adjacency-warmed at
@@ -100,7 +159,7 @@ class PretrainedBundle {
 
  private:
   std::vector<ClusterModel> clusters_;
-  std::vector<HistoryRecord> records_;
+  Corpus records_;
   FeatureEncoder feature_encoder_;
   std::vector<JobGraph> centers_;
 };
@@ -110,9 +169,10 @@ class Pretrainer {
  public:
   explicit Pretrainer(PretrainOptions options = {}) : options_(options) {}
 
-  /// Trains and returns the bundle. Requires a non-empty corpus of records
-  /// that pass ValidateHistoryRecord, with at least one labeled operator.
-  Result<PretrainedBundle> Run(std::vector<HistoryRecord> records) const;
+  /// Trains and returns the bundle, which holds `records` as its corpus.
+  /// Requires a non-empty corpus of records that pass
+  /// ValidateHistoryRecord, with at least one labeled operator.
+  Result<PretrainedBundle> Run(Corpus records) const;
 
  private:
   PretrainOptions options_;

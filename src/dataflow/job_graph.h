@@ -111,6 +111,9 @@ class JobGraph {
     if (adjacency_dirty_) RebuildAdjacency();
   }
 
+  /// True once the adjacency caches are built (see WarmAdjacency).
+  bool adjacency_warm() const { return !adjacency_dirty_; }
+
  private:
   /// One full WL color-refinement pass: the per-node final colors that
   /// CanonicalHash() folds into the graph hash. Node v's color captures

@@ -52,14 +52,16 @@ struct KnowledgeBase {
   std::shared_ptr<const core::PretrainedBundle> bundle;
   /// Admissions assigned per cluster since the last (re-)pre-training,
   /// seeded with the cluster sizes (the paper's appearance counts feed the
-  /// similarity-center choice; here they drive the drift trigger).
+  /// similarity-center choice; here they are kept and persisted, and no
+  /// trigger reads them).
   std::vector<long long> appearance;
   /// Per-job accumulated artifacts.
   std::map<std::string, JobKnowledge> jobs;
   /// Corpus size when the bundle was last (re-)pre-trained.
   long long pretrain_corpus_size = 0;
   /// Admissions since the last pre-training whose assignment distance
-  /// exceeded the drift threshold.
+  /// exceeded the drift threshold and whose structure (graph name) is not
+  /// among the pre-trained records [0, pretrain_corpus_size).
   long long drifted_since_pretrain = 0;
   /// Total admissions over the KB's lifetime.
   long long admissions_total = 0;

@@ -1,6 +1,7 @@
 #include "kb/kb_updater.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "core/serialization.h"
@@ -10,6 +11,18 @@
 namespace streamtune::kb {
 
 namespace {
+
+/// True when a record of the last clustering, corpus[0, clustered), has the
+/// graph name `name`. Pretrainer::Run deduplicates structures by name, so
+/// such a structure already sits in a cluster, and another record of it
+/// leaves the clustering's input unchanged.
+bool Clustered(const core::Corpus& corpus, long long clustered,
+               const std::string& name) {
+  for (long long i = 0; i < clustered; ++i) {
+    if (corpus[static_cast<size_t>(i)].graph.name() == name) return true;
+  }
+  return false;
+}
 
 /// Appends `extra` to `acc` and keeps only the newest `cap` entries.
 template <typename T>
@@ -40,25 +53,31 @@ Result<AdmissionOutcome> KbUpdater::Admit(KnowledgeBase* kb,
 
   // Append to the corpus: a new bundle sharing the existing cluster models
   // (encoders/heads are immutable once trained, so shallow ClusterModel
-  // copies that share parameter nodes are safe for concurrent readers).
+  // copies that share parameter nodes are safe for concurrent readers) and
+  // the existing records, which are immutable and already warm. Only the
+  // admitted record is new, so only its graph is warmed before publication.
   std::vector<core::ClusterModel> clusters;
   clusters.reserve(old.num_clusters());
   for (int c = 0; c < old.num_clusters(); ++c) {
     clusters.push_back(old.cluster(c));
   }
-  std::vector<core::HistoryRecord> records = old.records();
+  core::Corpus records = old.records();
   clusters[cluster].record_indices.push_back(
       static_cast<int>(records.size()));
-  records.push_back(rec.record);
-  auto bundle = std::make_shared<const core::PretrainedBundle>(
+  core::HistoryRecord admitted = rec.record;
+  admitted.graph.WarmAdjacency();
+  records.push_back(std::move(admitted));
+  kb->bundle = std::make_shared<const core::PretrainedBundle>(
       std::move(clusters), std::move(records), old.feature_encoder());
-  WarmBundleGraphs(*bundle);
-  kb->bundle = std::move(bundle);
 
   AdmissionOutcome outcome;
   outcome.cluster = cluster;
   outcome.distance = dist[cluster];
-  outcome.drifted = outcome.distance > options_.drift_distance;
+  // A structure the last clustering saw cannot drift: re-clustering would
+  // give the same clusters and the same distance.
+  outcome.drifted = outcome.distance > options_.drift_distance &&
+                    !Clustered(old.records(), kb->pretrain_corpus_size,
+                               rec.record.graph.name());
 
   kb->appearance[cluster] += 1;
   kb->admissions_total += 1;
@@ -88,10 +107,9 @@ bool KbUpdater::NeedsRepretrain(const KnowledgeBase& kb) const {
 
 Status KbUpdater::Repretrain(KnowledgeBase* kb) const {
   ST_RETURN_NOT_OK(ValidateKb(*kb));
-  std::vector<core::HistoryRecord> records = kb->bundle->records();
   core::Pretrainer pretrainer(options_.pretrain);
   ST_ASSIGN_OR_RETURN(core::PretrainedBundle trained,
-                      pretrainer.Run(std::move(records)));
+                      pretrainer.Run(kb->bundle->records()));
   auto bundle =
       std::make_shared<const core::PretrainedBundle>(std::move(trained));
   WarmBundleGraphs(*bundle);

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -114,6 +116,123 @@ TEST(KbServiceTest, DriftTriggerRepretrains) {
   long long total = 0;
   for (long long a : kb.appearance) total += a;
   EXPECT_EQ(total, static_cast<long long>(kb.bundle->records().size()));
+}
+
+// Re-admitting a structure the pre-training clustered never counts as
+// drift, however far it sits from its center: re-clustering would give the
+// same clusters and the same distance.
+TEST(KbServiceTest, ClusteredStructuresNeverDrift) {
+  KbUpdateOptions o = SmallOptions();
+  o.min_new_records = 2;
+  o.drifted_trigger = 2;
+  o.drift_distance = 0.0;   // any distance above 0 is far
+  o.growth_fraction = 1e9;  // growth alone never triggers
+  const std::vector<core::HistoryRecord> corpus = SampleCorpus();
+  auto service = KbService::Build(corpus, o);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+
+  std::vector<JobGraph> structures;
+  for (const core::HistoryRecord& rec : corpus) {
+    const bool listed = std::any_of(
+        structures.begin(), structures.end(),
+        [&](const JobGraph& g) { return g.name() == rec.graph.name(); });
+    if (!listed) structures.push_back(rec.graph);
+  }
+  ASSERT_EQ(structures.size(), 3u);
+
+  double farthest = 0;
+  uint64_t seed = 1000;
+  for (int round = 0; round < 3; ++round) {
+    for (const JobGraph& job : structures) {
+      auto outcome = (*service)->Admit(MakeAdmission(job, seed++));
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      EXPECT_FALSE(outcome->drifted) << job.name();
+      EXPECT_FALSE(outcome->repretrained) << job.name();
+      farthest = std::max(farthest, outcome->distance);
+    }
+  }
+  // With three structures in two clusters, one sits off its center: by
+  // distance alone its admissions would have drifted.
+  EXPECT_GT(farthest, o.drift_distance);
+  EXPECT_EQ((*service)->Snapshot()->kb().drifted_since_pretrain, 0);
+  EXPECT_EQ((*service)->Stats().repretrains, 0);
+}
+
+// A structure the last clustering did not see drifts on every admission,
+// also once an admission has put it in the corpus, until a re-pre-train
+// clusters it.
+TEST(KbServiceTest, UnclusteredStructureDriftsUntilRepretrained) {
+  KbUpdateOptions o = SmallOptions();
+  o.min_new_records = 2;
+  o.drifted_trigger = 3;
+  o.drift_distance = 0.0;
+  o.growth_fraction = 1e9;
+  auto service = KbService::Build(SampleCorpus(), o);
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+
+  JobGraph q8 = workloads::BuildNexmarkJob(workloads::NexmarkQuery::kQ8,
+                                           workloads::Engine::kFlink);
+  for (long long i = 1; i <= 2; ++i) {
+    auto outcome = (*service)->Admit(MakeAdmission(q8, 1100 + i));
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_TRUE(outcome->drifted) << "admission " << i;
+    EXPECT_FALSE(outcome->repretrained) << "admission " << i;
+    EXPECT_EQ((*service)->Snapshot()->kb().drifted_since_pretrain, i);
+  }
+
+  auto third = (*service)->Admit(MakeAdmission(q8, 1103));
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  EXPECT_TRUE(third->drifted);
+  EXPECT_TRUE(third->repretrained);
+
+  for (uint64_t seed = 1104; seed < 1107; ++seed) {
+    auto outcome = (*service)->Admit(MakeAdmission(q8, seed));
+    ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+    EXPECT_FALSE(outcome->drifted);
+    EXPECT_FALSE(outcome->repretrained);
+  }
+  EXPECT_EQ((*service)->Snapshot()->kb().drifted_since_pretrain, 0);
+  EXPECT_EQ((*service)->Stats().repretrains, 1);
+}
+
+// Bundle versions share their records: an admission adds one record object
+// and points at the others, which stay valid for as long as any snapshot
+// holds them.
+TEST(KbServiceTest, AdmitSharesRecordsAcrossSnapshots) {
+  auto service = KbService::Build(SampleCorpus(), SmallOptions());
+  ASSERT_TRUE(service.ok()) << service.status().ToString();
+  std::shared_ptr<const KbSnapshot> before = (*service)->Snapshot();
+  const core::Corpus& old_records = before->kb().bundle->records();
+  const size_t n = old_records.size();
+  std::vector<std::string> names;
+  for (const core::HistoryRecord& rec : old_records) {
+    names.push_back(rec.graph.name());
+  }
+
+  JobGraph q8 = workloads::BuildNexmarkJob(workloads::NexmarkQuery::kQ8,
+                                           workloads::Engine::kFlink);
+  AdmissionRecord rec = MakeAdmission(q8, 1201);
+  rec.record.graph = q8;  // a graph fresh from its builder is cold
+  ASSERT_FALSE(rec.record.graph.adjacency_warm());
+  ASSERT_TRUE((*service)->Admit(rec).ok());
+
+  std::shared_ptr<const KbSnapshot> after = (*service)->Snapshot();
+  const core::Corpus& new_records = after->kb().bundle->records();
+  ASSERT_EQ(new_records.size(), n + 1);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(&new_records[i], &old_records[i]) << "record " << i;
+  }
+  EXPECT_EQ(new_records[n].graph.name(), q8.name());
+  EXPECT_TRUE(new_records[n].graph.adjacency_warm());
+
+  // Dropping every holder of the new snapshot leaves the old one whole.
+  after.reset();
+  service->reset();
+  ASSERT_EQ(old_records.size(), n);
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(old_records[i].graph.name(), names[i]);
+    EXPECT_TRUE(core::ValidateHistoryRecord(old_records[i]).ok());
+  }
 }
 
 TEST(KbServiceTest, GrowthTriggerRepretrains) {

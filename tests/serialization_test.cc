@@ -318,7 +318,8 @@ TEST(SerializationTest, WritersRefuseMalformedHistoryRecord) {
   for (int c = 0; c < bundle.num_clusters(); ++c) {
     clusters.push_back(bundle.cluster(c));
   }
-  std::vector<HistoryRecord> records = bundle.records();
+  std::vector<HistoryRecord> records(bundle.records().begin(),
+                                     bundle.records().end());
   records[0].labels[0] = 2;
   const PretrainedBundle bad(std::move(clusters), std::move(records),
                              bundle.feature_encoder());
